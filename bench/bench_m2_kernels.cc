@@ -3,20 +3,24 @@
 // Times every kernel of the dispatch layer (squared_l2, l1, dot,
 // squared_norm, dot_and_norms, dot_rows) plus the end-to-end packed
 // PStableFamily::BucketAll on every ISA the host supports, across a sweep of
-// dimensions, and reports ns/op, effective GB/s, and the speedup over the
-// scalar reference. Results are also written as JSON (--out, default
-// BENCH_kernels.json) so the perf trajectory of the kernel layer is recorded
-// per PR.
+// dimensions, and the crc32c checksum kernel at 64 B (a WAL record) and
+// 4 KiB (a page) — one chained call per op, the way a page miss verifies
+// one page. Reports ns/op, effective GB/s, and the speedup over the scalar
+// reference. Results are also written as JSON (--out, default
+// BENCH_kernels.json) with the machine they were measured on, so the perf
+// trajectory of the kernel layer is recorded per change.
 //
 // Usage: bench_m2_kernels [--reps 200] [--out BENCH_kernels.json]
 
 #include <cstdio>
+#include <fstream>
 #include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "src/lsh/pstable.h"
+#include "src/obs/build_info.h"
 #include "src/util/random.h"
 #include "src/util/timer.h"
 #include "src/vector/aligned.h"
@@ -28,11 +32,13 @@ namespace {
 
 constexpr size_t kDims[] = {16, 64, 128, 960};
 constexpr size_t kBucketAllM = 128;  // family size for the end-to-end pass
+constexpr size_t kCrcBytes[] = {64, 4096};  // a WAL record, a page
 
 struct Measurement {
   std::string kernel;
   std::string isa;
-  size_t dim = 0;
+  size_t dim = 0;    // floats per vector; 0 for crc32c rows
+  size_t bytes = 0;  // buffer length of crc32c rows
   double ns_per_op = 0.0;
   double gb_per_s = 0.0;
   double speedup_vs_scalar = 0.0;
@@ -70,28 +76,65 @@ Measurement Measure(const std::string& kernel, simd::Isa isa, size_t dim,
 }
 
 void PrintRow(const Measurement& m) {
-  std::printf("  %-14s %-7s d=%-5zu %10.1f ns/op %8.2f GB/s %8.2fx vs scalar\n",
-              m.kernel.c_str(), m.isa.c_str(), m.dim, m.ns_per_op, m.gb_per_s,
-              m.speedup_vs_scalar);
+  const char* axis = m.bytes > 0 ? "B" : "d";
+  std::printf("  %-14s %-7s %s=%-5zu %10.1f ns/op %8.2f GB/s %8.2fx vs scalar\n",
+              m.kernel.c_str(), m.isa.c_str(), axis, m.bytes > 0 ? m.bytes : m.dim,
+              m.ns_per_op, m.gb_per_s, m.speedup_vs_scalar);
 }
 
-void WriteJson(const std::string& path, const std::vector<Measurement>& rows) {
+// The machine the numbers were measured on: CPU model and logical CPU count
+// (from /proc/cpuinfo where it exists), the reachable ISAs, the compiler and
+// the source revision.
+struct Machine {
+  std::string cpu = "unknown";
+  size_t cpus = 0;
+  std::string isas;
+};
+
+Machine DescribeMachine(const std::vector<simd::Isa>& isas) {
+  Machine m;
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("processor", 0) == 0) ++m.cpus;
+    if (m.cpu == "unknown" && line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        m.cpu = line.substr(colon + 2);
+      }
+    }
+  }
+  for (simd::Isa isa : isas) {
+    m.isas += (m.isas.empty() ? "" : " ") + std::string(simd::IsaName(isa));
+  }
+  return m;
+}
+
+void WriteJson(const std::string& path, const Machine& machine,
+               const std::vector<Measurement>& rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "FATAL: cannot open %s for writing\n", path.c_str());
     std::exit(1);
   }
-  std::fprintf(f, "[\n");
+  std::fprintf(f,
+               "{\n  \"bench\": \"m2_kernels\",\n"
+               "  \"machine\": {\"cpu\": \"%s\", \"cpus\": %zu, \"isas\": \"%s\", "
+               "\"compiler\": \"%s\", \"git\": \"%s\"},\n  \"rows\": [\n",
+               machine.cpu.c_str(), machine.cpus, machine.isas.c_str(), __VERSION__,
+               std::string(obs::BuildGitDescribe()).c_str());
   for (size_t i = 0; i < rows.size(); ++i) {
     const Measurement& m = rows[i];
+    const char* axis = m.bytes > 0 ? "bytes" : "dim";
     std::fprintf(f,
-                 "  {\"kernel\": \"%s\", \"isa\": \"%s\", \"dim\": %zu, "
+                 "    {\"kernel\": \"%s\", \"isa\": \"%s\", \"%s\": %zu, "
                  "\"ns_per_op\": %.3f, \"gb_per_s\": %.4f, "
                  "\"speedup_vs_scalar\": %.4f}%s\n",
-                 m.kernel.c_str(), m.isa.c_str(), m.dim, m.ns_per_op, m.gb_per_s,
-                 m.speedup_vs_scalar, (i + 1 < rows.size()) ? "," : "");
+                 m.kernel.c_str(), m.isa.c_str(), axis, m.bytes > 0 ? m.bytes : m.dim,
+                 m.ns_per_op, m.gb_per_s, m.speedup_vs_scalar,
+                 (i + 1 < rows.size()) ? "," : "");
   }
-  std::fprintf(f, "]\n");
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
 }
 
@@ -174,9 +217,35 @@ int Main(int argc, char** argv) {
       }
     }
   }
+
+  // crc32c: each op continues the previous op's checksum (the seed), so the
+  // calls form one dependency chain, as the verification of a page does.
+  for (size_t bytes : kCrcBytes) {
+    Rng rng(7 + bytes);
+    std::vector<uint8_t> buf(bytes);
+    for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Next64());
+    double scalar_ns = 0.0;
+    for (simd::Isa isa : isas) {
+      if (!simd::ForceIsa(isa)) continue;
+      uint32_t crc = 0;
+      const double ns = TimeNsPerOp(reps, [&] {
+        crc = simd::Active().crc32c(buf.data(), bytes, crc);
+        return static_cast<double>(crc);
+      });
+      if (isa == simd::Isa::kScalar) scalar_ns = ns;
+      Measurement m = Measure("crc32c", isa, 0, reps, static_cast<double>(bytes), ns);
+      m.bytes = bytes;
+      m.speedup_vs_scalar = (scalar_ns > 0.0) ? scalar_ns / ns : 1.0;
+      PrintRow(m);
+      rows.push_back(m);
+    }
+  }
   simd::ForceIsa(original);
 
-  WriteJson(parser.GetString("out"), rows);
+  const Machine machine = DescribeMachine(isas);
+  std::printf("\nmachine: %s, %zu CPUs, ISAs: %s\n", machine.cpu.c_str(),
+              machine.cpus, machine.isas.c_str());
+  WriteJson(parser.GetString("out"), machine, rows);
   std::printf("\nwrote %s (%zu rows)\n", parser.GetString("out").c_str(), rows.size());
   return 0;
 }

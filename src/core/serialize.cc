@@ -6,7 +6,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "src/util/crc32.h"
+#include "src/vector/crc32c.h"
 
 namespace c2lsh {
 

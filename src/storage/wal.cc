@@ -5,7 +5,7 @@
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 #include "src/storage/blob.h"
-#include "src/util/crc32.h"
+#include "src/vector/crc32c.h"
 
 namespace c2lsh {
 

@@ -100,10 +100,43 @@ void ScalarDotRowsMulti(const float* rows, size_t num_rows, size_t stride,
   }
 }
 
+struct Crc32cTable {
+  uint32_t entries[256];
+  Crc32cTable() {
+    // Reflected Castagnoli polynomial.
+    constexpr uint32_t kPoly = 0x82F63B78U;
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t crc = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1) ? kPoly : 0);
+      }
+      entries[i] = crc;
+    }
+  }
+};
+
+const Crc32cTable& Table() {
+  static const Crc32cTable table;
+  return table;
+}
+
+}  // namespace
+
+uint32_t ScalarCrc32c(const uint8_t* data, size_t n, uint32_t seed) {
+  const Crc32cTable& t = Table();
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < n; ++i) {
+    crc = (crc >> 8) ^ t.entries[(crc ^ data[i]) & 0xFF];
+  }
+  return ~crc;
+}
+
+namespace {
+
 constexpr Kernels kScalarKernels = {
-    ScalarSquaredL2,   ScalarL1,          ScalarDot,
-    ScalarSquaredNorm, ScalarDotAndNorms, ScalarDotRows,
-    ScalarDotRowsMulti,
+    ScalarSquaredL2,    ScalarL1,          ScalarDot,
+    ScalarSquaredNorm,  ScalarDotAndNorms, ScalarDotRows,
+    ScalarDotRowsMulti, ScalarCrc32c,
 };
 
 }  // namespace
@@ -140,14 +173,17 @@ const Kernels* KernelsFor(Isa isa) {
       return detail::GetScalarKernels();
     case Isa::kAvx2:
 #if defined(C2LSH_SIMD_HAVE_AVX2) && (defined(__x86_64__) || defined(__i386__))
-      if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+      // sse4.2: the table's crc32c uses the SSE4.2 crc32 instruction.
+      if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+          __builtin_cpu_supports("sse4.2")) {
         return detail::GetAvx2Kernels();
       }
 #endif
       return nullptr;
     case Isa::kAvx512:
 #if defined(C2LSH_SIMD_HAVE_AVX512) && (defined(__x86_64__) || defined(__i386__))
-      if (__builtin_cpu_supports("avx512f")) {
+      if (__builtin_cpu_supports("avx512f") &&
+          __builtin_cpu_supports("sse4.2")) {
         return detail::GetAvx512Kernels();
       }
 #endif

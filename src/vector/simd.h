@@ -2,7 +2,8 @@
 //
 // The dense-float inner loops that dominate C2LSH's cost — the m p-stable
 // projections per hashed vector and the L2/L1 verification of every
-// candidate — all funnel through the kernel table below. Per-ISA
+// candidate — all funnel through the kernel table below, as does the
+// CRC-32C that every disk page miss verifies (crc32c.h). Per-ISA
 // implementations live in isolated translation units compiled with the
 // matching -m flags (simd_avx2.cc, simd_avx512.cc on x86-64; simd_neon.cc on
 // aarch64; the scalar reference in simd.cc is always compiled, with no
@@ -29,6 +30,9 @@
 //    dot(rows + r*stride, queries + q*qstride, d) of the same table, for
 //    every (row, query) pair — so a batched projection pass buckets every
 //    query exactly as its own serial BucketAll would.
+//  * Checksum exactness: crc32c is an integer kernel whose result is written
+//    to disk, so every table returns exactly the scalar value — a file
+//    written under one ISA opens under any other.
 //
 // Selection order: AVX-512 > AVX2 > NEON > scalar, overridable for testing
 // with the environment variable C2LSH_SIMD=scalar|avx2|avx512|neon (an
@@ -41,6 +45,7 @@
 #define C2LSH_VECTOR_SIMD_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -94,6 +99,11 @@ struct Kernels {
   void (*dot_rows_multi)(const float* rows, size_t num_rows, size_t stride,
                          size_t d, const float* queries, size_t num_queries,
                          size_t qstride, double* out);
+  /// CRC-32C (Castagnoli) of data[0, n), continuing from `seed` (0, or the
+  /// result over the preceding bytes of the same stream). The checksum of
+  /// every persisted byte: page footers, WAL frames, the index file trailer
+  /// (called through Crc32c in src/vector/crc32c.h).
+  uint32_t (*crc32c)(const uint8_t* data, size_t n, uint32_t seed);
 };
 
 /// The table for a specific ISA, or nullptr when that ISA is not compiled in
@@ -121,6 +131,9 @@ const Kernels* GetScalarKernels();
 const Kernels* GetAvx2Kernels();
 const Kernels* GetAvx512Kernels();
 const Kernels* GetNeonKernels();
+// The byte-at-a-time table CRC-32C of the scalar table, for tables without
+// a hardware CRC kernel of their own.
+uint32_t ScalarCrc32c(const uint8_t* data, size_t n, uint32_t seed);
 }  // namespace detail
 
 }  // namespace simd

@@ -16,6 +16,7 @@
 #include <immintrin.h>
 
 #include <cmath>
+#include <cstring>
 
 namespace c2lsh {
 namespace simd {
@@ -227,10 +228,27 @@ void Avx2DotRowsMulti(const float* rows, size_t num_rows, size_t stride,
   }
 }
 
+// CRC-32C with the SSE4.2 crc32 instruction, which -mavx2 implies: 8 bytes
+// per step, then byte steps for the tail. Exactly the scalar table's value
+// (the checksum-exactness contract in simd.h).
+uint32_t Avx2Crc32c(const uint8_t* data, size_t n, uint32_t seed) {
+  uint32_t crc = ~seed;
+  size_t i = 0;
+#if defined(__x86_64__)
+  for (; i + 8 <= n; i += 8) {
+    uint64_t word;
+    std::memcpy(&word, data + i, sizeof(word));
+    crc = static_cast<uint32_t>(_mm_crc32_u64(crc, word));
+  }
+#endif
+  for (; i < n; ++i) crc = _mm_crc32_u8(crc, data[i]);
+  return ~crc;
+}
+
 constexpr Kernels kAvx2Kernels = {
-    Avx2SquaredL2,   Avx2L1,          Avx2Dot,
-    Avx2SquaredNorm, Avx2DotAndNorms, Avx2DotRows,
-    Avx2DotRowsMulti,
+    Avx2SquaredL2,    Avx2L1,           Avx2Dot,
+    Avx2SquaredNorm,  Avx2DotAndNorms,  Avx2DotRows,
+    Avx2DotRowsMulti, Avx2Crc32c,
 };
 
 }  // namespace

@@ -239,7 +239,9 @@ void NeonDotRowsMulti(const float* rows, size_t num_rows, size_t stride,
 constexpr Kernels kNeonKernels = {
     NeonSquaredL2,   NeonL1,          NeonDot,
     NeonSquaredNorm, NeonDotAndNorms, NeonDotRows,
-    NeonDotRowsMulti,
+    // ARMv8 __crc32cd needs an HWCAP_CRC32 runtime check first (the CRC
+    // extension is optional before ARMv8.1); until then, the scalar loop.
+    NeonDotRowsMulti, ScalarCrc32c,
 };
 
 }  // namespace

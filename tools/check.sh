@@ -50,6 +50,13 @@
 #   tidy      clang-tidy (>= TIDY_MIN_VERSION) over src/ with the checked-in
 #             .clang-tidy — SKIP when clang-tidy is missing or too old; a
 #             finding from an installed, current clang-tidy FAILS the lane
+#   perf      opt-in (--perf): the repository benchmark, perfbench/run.py
+#             --workload wire_cold_rw --seconds 10, once with --trace 0 and
+#             once with --trace 1 (benchmark build in build-check/perfbench
+#             unless CARGO_TARGET_DIR is set). Any non-zero exit fails the
+#             lane; run.py's stderr is echoed after each run with a verdict:
+#             a correctness VIOLATION, an invalid run (load generator late),
+#             or a crash/build failure
 #
 # The sanitizer lanes run their ctest suite twice: once on the CPU's best
 # SIMD dispatch target and once with the C2LSH_SIMD=scalar runtime override,
@@ -61,16 +68,25 @@
 # so CI surfaces the root cause, not whatever ran last.  Build trees live
 # under build-check/ so they never collide with a developer's ./build.
 #
-# Usage: tools/check.sh [--fast]
+# Usage: tools/check.sh [--fast] [--perf]
 #   --fast: lint + default + analyze + the default-tree ctest sublanes;
 #           skips the scalar, sanitizer, fuzz, clang and tidy lanes.
+#   --perf: also runs the perf lane (about 3 minutes on 4 cores, most of it
+#           the first benchmark build).
 
 set -u
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 FAST=0
-[[ "${1:-}" == "--fast" ]] && FAST=1
+PERF=0
+for arg in "$@"; do
+  case "${arg}" in
+    --fast) FAST=1 ;;
+    --perf) PERF=1 ;;
+    *) echo "usage: tools/check.sh [--fast] [--perf]" >&2; exit 2 ;;
+  esac
+done
 FUZZ_SECONDS="${FUZZ_SECONDS:-60}"
 TIDY_MIN_VERSION=14
 
@@ -260,6 +276,38 @@ if [[ "${FAST}" -eq 0 ]]; then
     }
     run_lane tidy tidy_lane
   fi
+fi
+
+# --- perf (opt-in: the repository benchmark, short runs) --------------------
+perf_lane() {
+  local target="${CARGO_TARGET_DIR:-build-check/perfbench}"
+  local trace code err status=0
+  mkdir -p build-check || return 1
+  for trace in 0 1; do
+    err="build-check/perf-trace${trace}.stderr"
+    note "  (perfbench wire_cold_rw, --trace ${trace})"
+    CARGO_TARGET_DIR="${target}" python3 perfbench/run.py \
+      --workload wire_cold_rw --seed 1 --seconds 10 --trace "${trace}" \
+      2>"${err}"
+    code=$?
+    echo "--- run.py stderr (--trace ${trace}) ---"
+    cat "${err}"
+    if [[ ${code} -ne 0 ]]; then
+      if grep -q "VIOLATION\|correctness gate" "${err}"; then
+        echo "perf: --trace ${trace}: correctness VIOLATION (exit ${code})"
+      elif grep -q "invalid run" "${err}"; then
+        echo "perf: --trace ${trace}: invalid run — the load generator fell" \
+          "behind (gen.late_ms_p99 > 5 ms; the host was too busy) (exit ${code})"
+      else
+        echo "perf: --trace ${trace}: build failure or crash (exit ${code})"
+      fi
+      status=${code}
+    fi
+  done
+  return "${status}"
+}
+if [[ "${PERF}" -eq 1 ]]; then
+  run_lane perf perf_lane
 fi
 
 # --- verdict ---------------------------------------------------------------
