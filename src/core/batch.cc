@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <utility>
 #include <vector>
@@ -128,19 +127,6 @@ void FlushBatchQuery(const C2lshQueryStats& st, double millis) {
   m.latency->Observe(millis);
   m.batch_queries->Increment();
   m.batch_query_millis->Observe(millis);
-}
-
-// The probe interval at radius R with the exhaustive fallback past the
-// radius schedule. Must match C2lshIndex::IntervalForRadius exactly — the
-// bitwise-equality tests (batch_engine_test.cc) pin the two together.
-BucketRange IntervalForRadiusCapped(BucketId query_bucket, long long R,
-                                    long long radius_cap) {
-  if (R > radius_cap) {
-    constexpr BucketId kLo = std::numeric_limits<BucketId>::min() / 4;
-    constexpr BucketId kHi = std::numeric_limits<BucketId>::max() / 4;
-    return BucketRange{kLo, kHi};
-  }
-  return QueryIntervalAtRadius(query_bucket, R);
 }
 
 /// One co-resident query's execution state across rounds.
@@ -345,7 +331,7 @@ void RunBatchBlock(const C2lshIndex& index, const Dataset& data,
           // pinned snapshot): no new entries, no pages, nothing to do.
           if (qs.table_covered[i] != 0) continue;
           const BucketRange next =
-              IntervalForRadiusCapped(qbuckets[q * m + i], R, radius_cap);
+              QueryIntervalAtRadiusCapped(qbuckets[q * m + i], R, radius_cap);
           const RangeDelta delta = ComputeRangeDelta(qs.prev[i], next);
           qs.prev[i] = next;
           if (!delta.left.empty()) {

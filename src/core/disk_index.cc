@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "src/core/virtual_rehash.h"
 #include "src/obs/flight_recorder.h"
@@ -198,9 +197,7 @@ Result<DiskC2lshIndex> DiskC2lshIndex::Build(const Dataset& data,
                                              size_t pool_pages, bool store_vectors,
                                              Env* env) {
   C2LSH_ASSIGN_OR_RETURN(C2lshDerived derived, ComputeDerivedParams(options, data.size()));
-  long long radius_cap = 1;
-  const long long c_int = static_cast<long long>(std::llround(options.c));
-  for (int i = 0; i < options.max_radius_exponent; ++i) radius_cap *= c_int;
+  const long long radius_cap = RadiusCap(options.c, options.max_radius_exponent);
   C2LSH_ASSIGN_OR_RETURN(
       PStableFamily family,
       PStableFamily::Sample(derived.m, data.dim(), options.w, options.seed,
@@ -764,6 +761,7 @@ Result<NeighborList> DiskC2lshIndex::RunDiskQuery(const Dataset* data, const flo
   for (ObjectId id : touched_) verified_[id] = 0;
   touched_.clear();
   table_bad_.assign(tables_.size(), 0);
+  cursor_.Reset(tables_.size(), pool_->page_bytes());
 
   const size_t m = tables_.size();
   const uint32_t l = static_cast<uint32_t>(derived_.l);
@@ -790,15 +788,6 @@ Result<NeighborList> DiskC2lshIndex::RunDiskQuery(const Dataset* data, const flo
   const uint64_t vector_pages = data_model.PagesPerVector(dim_);
   vector_buf_.resize(dim_);
   uint64_t data_misses = 0;
-
-  auto interval = [&](BucketId qb, long long R) -> BucketRange {
-    if (R > radius_cap_) {
-      constexpr BucketId kLo = std::numeric_limits<BucketId>::min() / 4;
-      constexpr BucketId kHi = std::numeric_limits<BucketId>::max() / 4;
-      return BucketRange{kLo, kHi};
-    }
-    return QueryIntervalAtRadius(qb, R);
-  };
 
   // Cooperative-stop state, same contract as the in-memory RunQuery: kNone
   // while running; once set, every remaining scan is skipped and the query
@@ -864,7 +853,7 @@ Result<NeighborList> DiskC2lshIndex::RunDiskQuery(const Dataset* data, const flo
             ++st->base.candidates_verified;
           }
         },
-        ctx);
+        cursor_, table_idx, ctx);
     if (!visited.ok()) {
       if (visited.status().IsCorruption()) {
         // A table page failed its checksum: drop this table for the rest of
@@ -919,7 +908,7 @@ Result<NeighborList> DiskC2lshIndex::RunDiskQuery(const Dataset* data, const flo
     bool all_covered = true;
     for (size_t i = 0; i < m; ++i) {
       if (early_stop != Termination::kNone) break;
-      const BucketRange next = interval(qbuckets[i], R);
+      const BucketRange next = QueryIntervalAtRadiusCapped(qbuckets[i], R, radius_cap_);
       const RangeDelta delta = ComputeRangeDelta(prev[i], next);
       scan_range(i, delta.left);
       scan_range(i, delta.right);

@@ -276,6 +276,7 @@ class DiskC2lshIndex {
   mutable std::vector<ObjectId> touched_;
   mutable std::vector<float> vector_buf_;
   mutable std::vector<uint8_t> table_bad_;  ///< tables dropped this query
+  mutable ScanCursor cursor_;  ///< one entry page per table, m pages at most
 };
 
 }  // namespace c2lsh

@@ -149,26 +149,12 @@ C2lshIndex& C2lshIndex::operator=(C2lshIndex&& other) noexcept {
   return *this;
 }
 
-BucketRange C2lshIndex::IntervalForRadius(BucketId query_bucket, long long R) const {
-  if (R > radius_cap_) {
-    // Exhaustive fallback round: past the radius schedule the offsets no
-    // longer randomize the grid anchor, so probe everything. This round
-    // raises every object's count to m, which terminates the query.
-    constexpr BucketId kLo = std::numeric_limits<BucketId>::min() / 4;
-    constexpr BucketId kHi = std::numeric_limits<BucketId>::max() / 4;
-    return BucketRange{kLo, kHi};
-  }
-  return QueryIntervalAtRadius(query_bucket, R);
-}
-
 Result<C2lshIndex> C2lshIndex::Build(const Dataset& data, const C2lshOptions& options,
                                      size_t num_threads) {
   C2LSH_ASSIGN_OR_RETURN(C2lshDerived derived, ComputeDerivedParams(options, data.size()));
   // Offsets span the whole radius schedule (see C2lshOptions::
   // max_radius_exponent): b* ~ U[0, w * c^{t*}).
-  long long radius_cap = 1;
-  const long long c_int = static_cast<long long>(std::llround(options.c));
-  for (int i = 0; i < options.max_radius_exponent; ++i) radius_cap *= c_int;
+  const long long radius_cap = RadiusCap(options.c, options.max_radius_exponent);
   C2LSH_ASSIGN_OR_RETURN(
       PStableFamily family,
       PStableFamily::Sample(derived.m, data.dim(), options.w, options.seed,
@@ -389,7 +375,7 @@ Result<NeighborList> C2lshIndex::RunQuery(const Dataset& data, const float* quer
     bool all_covered = true;
     for (size_t i = 0; i < m; ++i) {
       if (early_stop != Termination::kNone) break;
-      const BucketRange next = IntervalForRadius(qbuckets[i], R);
+      const BucketRange next = QueryIntervalAtRadiusCapped(qbuckets[i], R, radius_cap_);
       const RangeDelta delta = ComputeRangeDelta(prev[i], next);
       scan_range(snaps[i], delta.left);
       scan_range(snaps[i], delta.right);
@@ -571,7 +557,7 @@ Result<NeighborList> C2lshIndex::RangeQuery(const Dataset& data, const float* qu
     ++st->rounds;
     st->final_radius = R;
     for (size_t i = 0; i < m; ++i) {
-      const BucketRange next = IntervalForRadius(qbuckets[i], R);
+      const BucketRange next = QueryIntervalAtRadiusCapped(qbuckets[i], R, radius_cap_);
       const RangeDelta delta = ComputeRangeDelta(prev[i], next);
       scan_range(snaps[i], delta.left);
       scan_range(snaps[i], delta.right);
@@ -636,7 +622,7 @@ Result<Neighbor> C2lshIndex::DecisionQuery(const Dataset& data, const float* que
   for (size_t i = 0; i < tables_.size() && !have_hit && verified < fp_budget &&
                      early_stop == Termination::kNone;
        ++i) {
-    const BucketRange range = IntervalForRadius(qbuckets[i], R);
+    const BucketRange range = QueryIntervalAtRadiusCapped(qbuckets[i], R, radius_cap_);
     ++st->index_pages;  // per-table descent
     const size_t range_entries = snaps[i].EntriesInRange(range.lo, range.hi);
     if (range_entries > 0) {
@@ -685,7 +671,7 @@ std::vector<uint32_t> C2lshIndex::CollisionCountsAtRadius(const float* query,
   std::vector<BucketId> qbuckets;
   family_.BucketAll(query, &qbuckets);
   for (size_t i = 0; i < tables_.size(); ++i) {
-    const BucketRange range = IntervalForRadius(qbuckets[i], R);
+    const BucketRange range = QueryIntervalAtRadiusCapped(qbuckets[i], R, radius_cap_);
     tables_[i].ForEachInRange(range.lo, range.hi, [&](ObjectId id) {
       if (id < counts.size()) ++counts[id];
     });

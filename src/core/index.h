@@ -311,10 +311,6 @@ class C2lshIndex {
                                 obs::QueryTrace* trace = nullptr,
                                 const QueryContext* ctx = nullptr) const;
 
-  /// The probe interval at radius R, falling back to a full-table range once
-  /// R exceeds the radius schedule cap (guarantees termination).
-  BucketRange IntervalForRadius(BucketId query_bucket, long long R) const;
-
   /// Refreshes the overlay/tombstone gauges after a mutation. Called with
   /// writer_mu_ held (tables are quiescent, so per-table snapshots agree).
   void UpdateMutationGauges() const;

@@ -22,6 +22,9 @@
 #ifndef C2LSH_CORE_VIRTUAL_REHASH_H_
 #define C2LSH_CORE_VIRTUAL_REHASH_H_
 
+#include <cmath>
+#include <limits>
+
 #include "src/storage/bucket_table.h"
 #include "src/util/math.h"
 
@@ -51,6 +54,32 @@ inline BucketId LevelBucket(BucketId base, long long R) { return FloorDiv(base, 
 inline BucketRange QueryIntervalAtRadius(BucketId query_base_bucket, long long R) {
   const BucketId t = LevelBucket(query_base_bucket, R);
   return BucketRange{t * R, t * R + R - 1};
+}
+
+/// The last radius of the schedule, c^max_radius_exponent (c rounded to an
+/// integer, as the nested level intervals require). Offsets are drawn over
+/// w * RadiusCap(...), and a round past it probes the whole table.
+inline long long RadiusCap(double c, int max_radius_exponent) {
+  const long long c_int = static_cast<long long>(std::llround(c));
+  long long cap = 1;
+  for (int i = 0; i < max_radius_exponent; ++i) cap *= c_int;
+  return cap;
+}
+
+/// The probe interval at radius R, falling back to a full-table range once R
+/// exceeds `radius_cap`: past the radius schedule the offsets no longer
+/// randomize the grid anchor, so the round probes everything, raising every
+/// object's count to m and terminating the query. Every query loop (serial,
+/// batched, disk) takes its intervals from here, which is what keeps their
+/// answers bitwise equal.
+inline BucketRange QueryIntervalAtRadiusCapped(BucketId query_base_bucket, long long R,
+                                               long long radius_cap) {
+  if (R > radius_cap) {
+    constexpr BucketId kLo = std::numeric_limits<BucketId>::min() / 4;
+    constexpr BucketId kHi = std::numeric_limits<BucketId>::max() / 4;
+    return BucketRange{kLo, kHi};
+  }
+  return QueryIntervalAtRadius(query_base_bucket, R);
 }
 
 /// The two side-ranges uncovered when the interval grows from `prev` to

@@ -9,6 +9,18 @@ namespace {
 constexpr uint32_t kDirMagic = 0xD15CD1A7;
 }  // namespace
 
+void ScanCursor::Reset(size_t num_slots, size_t page_bytes) {
+  ids_per_page_ = page_bytes / sizeof(ObjectId);
+  pages_.assign(num_slots, 0);
+  if (ids_.size() < num_slots * ids_per_page_) ids_.resize(num_slots * ids_per_page_);
+}
+
+void ScanCursor::Keep(size_t slot, PageId page, const uint8_t* data) {
+  if (page <= pages_[slot]) return;
+  std::memcpy(ids_.data() + slot * ids_per_page_, data, ids_per_page_ * sizeof(ObjectId));
+  pages_[slot] = page;
+}
+
 Result<DiskBucketTable> DiskBucketTable::Build(
     BufferPool* pool, std::vector<std::pair<BucketId, ObjectId>> entries) {
   if (pool == nullptr) {
@@ -152,7 +164,7 @@ void DiskBucketTable::OverlayDelete(ObjectId id) {
 
 Result<size_t> DiskBucketTable::ForEachInRange(
     BucketId lo, BucketId hi, const std::function<void(ObjectId)>& fn,
-    const QueryContext* ctx) const {
+    ScanCursor& cursor, size_t slot, const QueryContext* ctx) const {
   const auto [begin_idx, end_idx] = EntryRange(lo, hi);
   const size_t per_page = EntriesPerPage();
   size_t visited = 0;
@@ -160,11 +172,18 @@ Result<size_t> DiskBucketTable::ForEachInRange(
        begin_idx < end_idx && page_idx * per_page < end_idx; ++page_idx) {
     // Page boundaries are the scan's checkpoints: each iteration may cost a
     // real disk read, so an expired context stops before paying for the next
-    // page and the caller sees a clean partial count.
+    // page and the caller sees a clean partial count. A cached page is
+    // checked the same way, so where a scan stops does not depend on what
+    // the cursor holds.
     if (ctx != nullptr && ctx->CheckNow() != Termination::kNone) return visited;
     const PageId id = first_entry_page_ + page_idx;
-    C2LSH_ASSIGN_OR_RETURN(BufferPool::PageHandle page, pool_->Fetch(id, ctx));
-    const auto* ids = reinterpret_cast<const ObjectId*>(page.data());
+    const ObjectId* ids = cursor.Find(slot, id);
+    BufferPool::PageHandle page;  // pinned only while this page is visited
+    if (ids == nullptr) {
+      C2LSH_ASSIGN_OR_RETURN(page, pool_->Fetch(id, ctx));
+      cursor.Keep(slot, id, page.data());
+      ids = reinterpret_cast<const ObjectId*>(page.data());
+    }
     const size_t page_start = page_idx * per_page;
     const size_t from = std::max(begin_idx, page_start) - page_start;
     const size_t to = std::min(end_idx, page_start + per_page) - page_start;

@@ -8,9 +8,11 @@
 //     directories are tiny; both the paper and the in-memory mode treat them
 //     as resident).
 //
-// Range probes therefore cost exactly the entry pages they touch — the
-// quantity the BufferPool measures and experiment D1 compares against the
-// analytic model.
+// Range probes therefore cost the entry pages they touch — the quantity the
+// BufferPool measures and experiment D1 compares against the analytic model.
+// A query's range probes share a ScanCursor, which keeps one private copy of
+// an entry page per table, so a page the previous round already read is not
+// fetched again.
 //
 // Mutability: the on-disk run is immutable, but the table carries a small
 // in-memory delta — a sorted insert overlay plus a tombstone set — that
@@ -36,6 +38,43 @@
 
 namespace c2lsh {
 
+/// Per-query scan scratch for DiskBucketTable::ForEachInRange: one slot per
+/// table, each holding a private copy of the highest entry page that table's
+/// scans fetched during the current query.
+///
+/// Under virtual rehashing a round's interval contains the previous round's,
+/// so a table's next scan begins on the page holding its previous right end —
+/// the highest page read so far. A scan whose page is in the slot reads the
+/// copy and makes no BufferPool::Fetch; any other page is fetched as usual.
+/// One table needs both ends only while its interval straddles a page
+/// boundary; then the left end's page is fetched once per round.
+///
+/// The cursor holds no pool pin (a copy, never a frame), so it costs no
+/// frames however many tables it covers, and a page enters a slot only after
+/// Fetch returned it, i.e. after its checksum verified. Slots are keyed by
+/// page id, which is unique across tables, so a slot can never serve another
+/// table's bytes. Scratch is num_slots pages, allocated once and reused.
+class ScanCursor {
+ public:
+  /// Starts a query: empties every slot of `num_slots` tables whose pages
+  /// hold `page_bytes` bytes. Keeps the allocation, growing it only.
+  void Reset(size_t num_slots, size_t page_bytes);
+
+ private:
+  friend class DiskBucketTable;
+
+  /// The ids of `page` if slot `slot` holds it, else nullptr.
+  const ObjectId* Find(size_t slot, PageId page) const {
+    return pages_[slot] == page ? ids_.data() + slot * ids_per_page_ : nullptr;
+  }
+  /// Copies a fetched `page` into slot `slot` if it is above the page held.
+  void Keep(size_t slot, PageId page, const uint8_t* data);
+
+  size_t ids_per_page_ = 0;
+  std::vector<PageId> pages_;  ///< per slot; 0 = empty (page 0 is the header)
+  std::vector<ObjectId> ids_;  ///< slot-major page copies
+};
+
 /// An on-disk bucket table: an immutable base run plus an in-memory,
 /// WAL-recovered delta overlay.
 class DiskBucketTable {
@@ -59,15 +98,17 @@ class DiskBucketTable {
 
   /// Calls `fn(ObjectId)` for every live object with bucket in [lo, hi] —
   /// base-run entries first (tombstoned ids skipped), then overlay inserts
-  /// in bucket order. Entry pages are fetched through the pool (so misses
-  /// are measured I/O). Returns the number of objects visited, or an error
-  /// if a page fetch fails. `ctx` (nullable) bounds the scan: the
-  /// deadline/cancellation is checked at every entry-page boundary, and an
-  /// expired context stops the scan early, returning the objects visited so
-  /// far (not an error) — the caller decides how a partial scan terminates
-  /// the query.
+  /// in bucket order. Entry pages come from slot `slot` of `cursor` when it
+  /// holds them, else from the pool (so misses are measured I/O). Returns
+  /// the number of objects visited, or an error if a page fetch fails (the
+  /// slot is then left as it was). `ctx` (nullable) bounds the scan: the
+  /// deadline/cancellation is checked at every entry-page boundary, cached
+  /// or not, and an expired context stops the scan early, returning the
+  /// objects visited so far (not an error) — the caller decides how a
+  /// partial scan terminates the query.
   Result<size_t> ForEachInRange(BucketId lo, BucketId hi,
                                 const std::function<void(ObjectId)>& fn,
+                                ScanCursor& cursor, size_t slot,
                                 const QueryContext* ctx = nullptr) const;
 
   /// Calls `fn(BucketId, ObjectId)` for every live entry (base run in

@@ -214,8 +214,6 @@ Result<PageId> PageFile::AllocatePage() {
 }
 
 Status PageFile::ReadPage(PageId id, void* buf, const QueryContext* ctx) const {
-  obs::ScopedSpan read_span(obs::SpanSubsystem::kPageFile, "page_read",
-                            ctx != nullptr ? ctx->trace_id : 0);
   C2LSH_RETURN_IF_ERROR(CheckPageId(id));
   const size_t phys = PhysicalPageBytes();
   scratch_.resize(phys);

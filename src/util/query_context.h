@@ -110,7 +110,9 @@ struct QueryContext {
   /// this many pages (measured pool misses in disk mode, modelled pages in
   /// memory mode), it stops at the next rehash-round boundary with
   /// Termination::kDeadline — a resource deadline, same partial-result
-  /// contract as the time deadline.
+  /// contract as the time deadline. In disk mode the budget counts pool
+  /// reads: an entry page the query's scan cursor already holds is reused
+  /// for free (see ScanCursor in storage/disk_bucket_table.h).
   uint64_t io_page_budget = 0;
 
   /// Opts this query into span tracing under TraceMode::kPerQuery (see

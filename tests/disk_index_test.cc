@@ -42,12 +42,17 @@ TEST_F(DiskIndexTest, DiskBucketTableMatchesMemoryTable) {
   EXPECT_EQ(disk->num_entries(), mem.num_entries());
   EXPECT_EQ(disk->num_buckets(), mem.num_buckets());
 
+  // One cursor across all trials: its slot keeps whatever page an earlier
+  // range left there, so cached pages also serve unrelated ranges.
+  ScanCursor cursor;
+  cursor.Reset(1, 4096);
   for (int trial = 0; trial < 100; ++trial) {
     BucketId a = rng.UniformInt(-250, 250);
     BucketId b = a + rng.UniformInt(0, 100);
     std::vector<ObjectId> mem_ids, disk_ids;
     mem.ForEachInRange(a, b, [&](ObjectId id) { mem_ids.push_back(id); });
-    auto visited = disk->ForEachInRange(a, b, [&](ObjectId id) { disk_ids.push_back(id); });
+    auto visited = disk->ForEachInRange(
+        a, b, [&](ObjectId id) { disk_ids.push_back(id); }, cursor, 0);
     ASSERT_TRUE(visited.ok());
     std::sort(mem_ids.begin(), mem_ids.end());
     std::sort(disk_ids.begin(), disk_ids.end());
@@ -72,7 +77,9 @@ TEST_F(DiskIndexTest, DiskBucketTableSurvivesReload) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->num_entries(), 1000u);
   size_t count = 0;
-  auto visited = loaded->ForEachInRange(0, 36, [&](ObjectId) { ++count; });
+  ScanCursor cursor;
+  cursor.Reset(1, 512);
+  auto visited = loaded->ForEachInRange(0, 36, [&](ObjectId) { ++count; }, cursor, 0);
   ASSERT_TRUE(visited.ok());
   EXPECT_EQ(count, 1000u);
 }
@@ -98,6 +105,56 @@ TEST_F(DiskIndexTest, DiskIndexMatchesMemoryIndexExactly) {
       EXPECT_EQ((*rd)[i].dist, (*rm)[i].dist);
     }
   }
+}
+
+// Under virtual rehashing a round's interval contains the previous round's,
+// so the scan cursor keeps each table's highest entry page read so far and
+// the next round does not fetch it again. With a pool far smaller than the index
+// (8 frames), every entry page a query reads costs a miss unless the cursor
+// serves it: a query's index misses stay within the entry pages the tables
+// hold, however many rounds it runs.
+TEST_F(DiskIndexTest, ColdQueryReadsEachEntryPageAtMostOnce) {
+  constexpr size_t kN = 1500;
+  auto pd = MakeProfileDataset(DatasetProfile::kColor, kN, 8, 23);
+  ASSERT_TRUE(pd.ok());
+  C2lshOptions o;
+  o.seed = 29;
+  o.page_bytes = 4096;
+  auto mem = C2lshIndex::Build(pd->data, o);
+  ASSERT_TRUE(mem.ok());
+  auto disk = DiskC2lshIndex::Build(pd->data, o, Path("once.pf"), /*pool_pages=*/8);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  ASSERT_EQ(disk->OverlayEntries(), 0u);
+
+  // 6000-byte runs: every table spans two 4096-byte entry pages.
+  const uint64_t pages_per_table =
+      (kN * sizeof(ObjectId) + o.page_bytes - 1) / o.page_bytes;
+  ASSERT_GE(pages_per_table, 2u);
+  const uint64_t entry_page_bound = disk->num_tables() * pages_per_table;
+  // 32-d vectors pack 32 to a page, so each candidate reads one data page.
+  ASSERT_EQ(o.page_bytes % (pd->data.dim() * sizeof(float)), 0u);
+  const uint64_t pages_per_vector = 1;
+
+  uint64_t multi_round_queries = 0;
+  for (size_t q = 0; q < pd->queries.num_rows(); ++q) {
+    SCOPED_TRACE("query " + std::to_string(q));
+    auto rm = mem->Query(pd->data, pd->queries.row(q), 10);
+    DiskQueryStats stats;
+    auto rd = disk->Query(pd->queries.row(q), 10, &stats);
+    ASSERT_TRUE(rm.ok() && rd.ok());
+    if (stats.base.rounds > 1) ++multi_round_queries;
+    EXPECT_LE(stats.base.index_pages, entry_page_bound);
+    EXPECT_LE(stats.pool_misses,
+              entry_page_bound + stats.base.candidates_verified * pages_per_vector);
+    EXPECT_EQ(disk->PinnedPoolFrames(), 0u);
+    ASSERT_EQ(rd->size(), rm->size());
+    for (size_t i = 0; i < rm->size(); ++i) {
+      EXPECT_EQ((*rd)[i].id, (*rm)[i].id) << "i=" << i;
+      EXPECT_EQ((*rd)[i].dist, (*rm)[i].dist) << "i=" << i;
+    }
+  }
+  // The bound only means something when rounds re-probe the same tables.
+  EXPECT_GT(multi_round_queries, 0u);
 }
 
 TEST_F(DiskIndexTest, ReopenedIndexMatches) {

@@ -12,6 +12,7 @@
 //   3. Transient faults: Unavailable results from the env are retried with
 //      observable counts and bounded exhaustion.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -23,6 +24,8 @@
 
 #include "src/core/disk_index.h"
 #include "src/core/index.h"
+#include "src/core/virtual_rehash.h"
+#include "src/lsh/pstable.h"
 #include "src/storage/page_file.h"
 #include "src/util/fault_env.h"
 #include "src/vector/distance.h"
@@ -389,6 +392,141 @@ TEST_F(FaultInjectionTest, DegradedQueryReportsSkippedTablesOrCandidates) {
   }
   EXPECT_TRUE(saw_degraded)
       << "no page corruption ever produced a degraded (skip-and-continue) query";
+}
+
+// The scan cursor keeps a copy of each table's entry page across rounds; a
+// page enters it only after its checksum verified. Corrupting the *second*
+// entry page of table 0 makes a query that cached the first page in an early
+// round meet the corrupt page in a later one: that query must drop exactly
+// that table and flag the answer, while a query whose intervals never reach
+// the page answers exactly as on the clean file.
+TEST_F(FaultInjectionTest, CorruptEntryPageAfterCachedPageDropsOneTable) {
+  constexpr size_t kN = 1500;
+  constexpr size_t kK = 10;
+  auto pd = MakeProfileDataset(DatasetProfile::kColor, kN, 10, 107);
+  ASSERT_TRUE(pd.ok());
+  C2lshOptions o;
+  o.seed = 109;
+  o.page_bytes = 4096;
+  const std::string path = Path("cursor_flip.pf");
+  const size_t dim = pd->data.dim();
+  {
+    auto disk = DiskC2lshIndex::Build(pd->data, o, path, 8, /*store_vectors=*/false);
+    ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+  }
+
+  // Without a data segment page 1 is the superblock and table 0's entry run
+  // starts on page 2; its 6000 bytes fill pages 2 and 3.
+  constexpr PageId kSecondEntryPage = 3;
+  const size_t per_page = o.page_bytes / sizeof(ObjectId);
+  ASSERT_GT(kN, per_page);
+  ASSERT_LE(kN, 2 * per_page);
+
+  // Replays table 0's probe intervals: its sorted bucket column gives the
+  // entry run, so each round's interval maps to a run range [b, e).
+  auto derived = ComputeDerivedParams(o, kN);
+  ASSERT_TRUE(derived.ok());
+  const long long radius_cap = RadiusCap(o.c, o.max_radius_exponent);
+  auto family = PStableFamily::Sample(derived->m, dim, o.w, o.seed,
+                                      static_cast<double>(radius_cap));
+  ASSERT_TRUE(family.ok());
+  const std::vector<BucketId> buckets = family->BucketColumn(pd->data.vectors(), 0);
+  std::vector<std::pair<BucketId, ObjectId>> run;
+  for (size_t i = 0; i < kN; ++i) run.emplace_back(buckets[i], static_cast<ObjectId>(i));
+  std::sort(run.begin(), run.end());  // DiskBucketTable's entry order
+  std::vector<BucketId> column;
+  for (const auto& entry : run) column.push_back(entry.first);
+  const long long c_int = static_cast<long long>(std::llround(o.c));
+
+  // Candidate queries: the profile's queries, which mostly probe far from
+  // the page boundary, plus stored objects lying just below it, whose
+  // widening intervals cross into the second page.
+  std::vector<const float*> queries;
+  for (size_t q = 0; q < pd->queries.num_rows(); ++q) queries.push_back(pd->queries.row(q));
+  for (size_t pos = per_page - 200; pos < per_page; pos += 10) {
+    queries.push_back(pd->data.object(run[pos].second));
+  }
+  const size_t kQueries = queries.size();
+
+  // Clean answers, and per query: does an earlier round read only the first
+  // entry page before a later round reaches the second?
+  auto clean_index = DiskC2lshIndex::Open(path, 8);
+  ASSERT_TRUE(clean_index.ok()) << clean_index.status().ToString();
+  std::vector<NeighborList> clean(kQueries);
+  size_t meets_after_cache = kQueries;  // first query of each kind
+  size_t never_reaches = kQueries;
+  for (size_t q = 0; q < kQueries; ++q) {
+    DiskQueryStats stats;
+    auto r = clean_index->Query(pd->data, queries[q], kK, &stats);
+    ASSERT_TRUE(r.ok());
+    clean[q] = std::move(r).value();
+    std::vector<BucketId> qb;
+    family->BucketAll(queries[q], &qb);
+    bool cached_first = false, reached_second = false;
+    long long R = 1;
+    for (uint64_t round = 0; round < stats.base.rounds; ++round, R *= c_int) {
+      const BucketRange in = QueryIntervalAtRadiusCapped(qb[0], R, radius_cap);
+      const size_t b = std::lower_bound(column.begin(), column.end(), in.lo) -
+                       column.begin();
+      const size_t e = std::upper_bound(column.begin(), column.end(), in.hi) -
+                       column.begin();
+      if (e > per_page) {
+        if (cached_first && !reached_second && meets_after_cache == kQueries) {
+          meets_after_cache = q;
+        }
+        reached_second = true;
+      } else if (b < e) {
+        cached_first = true;
+      }
+    }
+    if (cached_first && !reached_second && never_reaches == kQueries) {
+      never_reaches = q;
+    }
+  }
+  ASSERT_LT(meets_after_cache, kQueries)
+      << "no query caches table 0's first entry page before reaching its second";
+  ASSERT_LT(never_reaches, kQueries)
+      << "no query keeps table 0's probe on its first entry page";
+
+  FaultInjectionEnv env(Env::Default());
+  constexpr uint64_t kHeaderRegion = 512;
+  const uint64_t physical_page = o.page_bytes + 8;  // payload + crc footer
+  env.SetReadCorruption(
+      kHeaderRegion + (kSecondEntryPage - 1) * physical_page + o.page_bytes / 2, 0xFF);
+  auto disk = DiskC2lshIndex::Open(path, 8, &env);
+  ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+
+  {
+    SCOPED_TRACE("query " + std::to_string(meets_after_cache));
+    DiskQueryStats stats;
+    auto r = disk->Query(pd->data, queries[meets_after_cache], kK, &stats);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(stats.degraded);
+    EXPECT_EQ(stats.tables_skipped, 1u);
+    EXPECT_EQ(stats.candidates_skipped, 0u);
+    EXPECT_EQ(disk->PinnedPoolFrames(), 0u);
+    for (const Neighbor& nb : *r) {
+      ASSERT_LT(nb.id, pd->data.size());
+      EXPECT_EQ(nb.dist,
+                static_cast<float>(L2(queries[meets_after_cache],
+                                      pd->data.object(nb.id), dim)));
+    }
+  }
+  {
+    SCOPED_TRACE("query " + std::to_string(never_reaches));
+    DiskQueryStats stats;
+    auto r = disk->Query(pd->data, queries[never_reaches], kK, &stats);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(stats.degraded);
+    EXPECT_EQ(stats.tables_skipped, 0u);
+    EXPECT_EQ(disk->PinnedPoolFrames(), 0u);
+    const NeighborList& want = clean[never_reaches];
+    ASSERT_EQ(r->size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ((*r)[i].id, want[i].id) << "i=" << i;
+      EXPECT_EQ((*r)[i].dist, want[i].dist) << "i=" << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -56,7 +56,10 @@
 #             unless CARGO_TARGET_DIR is set). Any non-zero exit fails the
 #             lane; run.py's stderr is echoed after each run with a verdict:
 #             a correctness VIOLATION, an invalid run (load generator late),
-#             or a crash/build failure
+#             or a crash/build failure. The traced run also fails the lane
+#             when storage.pool_misses_per_query reaches file_pages: a disk
+#             query reads each entry page at most once, so more misses than
+#             the file has pages means rounds are re-reading pages again
 #
 # The sanitizer lanes run their ctest suite twice: once on the CPU's best
 # SIMD dispatch target and once with the C2LSH_SIMD=scalar runtime override,
@@ -281,15 +284,16 @@ fi
 # --- perf (opt-in: the repository benchmark, short runs) --------------------
 perf_lane() {
   local target="${CARGO_TARGET_DIR:-build-check/perfbench}"
-  local trace code err status=0
+  local trace code out err misses pages status=0
   mkdir -p build-check || return 1
   for trace in 0 1; do
+    out="build-check/perf-trace${trace}.stdout"
     err="build-check/perf-trace${trace}.stderr"
     note "  (perfbench wire_cold_rw, --trace ${trace})"
     CARGO_TARGET_DIR="${target}" python3 perfbench/run.py \
       --workload wire_cold_rw --seed 1 --seconds 10 --trace "${trace}" \
-      2>"${err}"
-    code=$?
+      2>"${err}" | tee "${out}"
+    code=${PIPESTATUS[0]}
     echo "--- run.py stderr (--trace ${trace}) ---"
     cat "${err}"
     if [[ ${code} -ne 0 ]]; then
@@ -302,6 +306,23 @@ perf_lane() {
         echo "perf: --trace ${trace}: build failure or crash (exit ${code})"
       fi
       status=${code}
+    elif [[ ${trace} -eq 1 ]]; then
+      # Both figures are on run.py's stdout: "config file_pages = N" and
+      # "storage.pool_misses_per_query  X count".
+      pages="$(awk '$1 == "config" && $2 == "file_pages" { print $4 }' "${out}")"
+      misses="$(awk '$1 == "storage.pool_misses_per_query" { print $2 }' "${out}")"
+      if [[ -z "${pages}" || -z "${misses}" ]]; then
+        echo "perf: --trace 1: file_pages or storage.pool_misses_per_query" \
+          "missing from run.py's output"
+        status=1
+      elif awk -v m="${misses}" -v p="${pages}" 'BEGIN { exit !(m >= p) }'; then
+        echo "perf: --trace 1: ${misses} pool misses per query against a" \
+          "${pages}-page file — disk queries re-read entry pages each round"
+        status=1
+      else
+        echo "perf: --trace 1: ${misses} pool misses per query," \
+          "under the ${pages}-page file"
+      fi
     fi
   done
   return "${status}"
