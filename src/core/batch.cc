@@ -23,22 +23,11 @@ namespace c2lsh {
 namespace batch {
 namespace {
 
-// Registry handles resolved once per process. The core c2lsh_* names are the
-// SAME instruments RunQuery flushes through (the registry deduplicates by
-// name), so serial and batched queries land in one set of counters; the
-// batch_* names instrument the engine itself.
+// Registry handles for the engine itself, resolved once per process. A
+// finished batch query also flushes through the shared core c2lsh_*
+// instruments (FlushQueryMetrics, the same flush RunQuery uses), so serial
+// and batched queries land in one set of counters.
 struct BatchMetrics {
-  obs::Counter* queries;
-  obs::Counter* rounds;
-  obs::Counter* collision_increments;
-  obs::Counter* candidates_verified;
-  obs::Counter* buckets_scanned;
-  obs::Counter* t1;
-  obs::Counter* t2;
-  obs::Counter* exhausted;
-  obs::Counter* deadline;
-  obs::Counter* cancelled;
-  obs::Histogram* latency;
   obs::Counter* batch_queries;
   obs::Counter* batch_blocks;
   obs::Counter* scan_groups;
@@ -53,27 +42,6 @@ const BatchMetrics& Metrics() {
   static const BatchMetrics m = [] {
     auto& r = obs::MetricsRegistry::Global();
     return BatchMetrics{
-        r.GetCounter("c2lsh_queries_total", "In-memory C2LSH queries answered"),
-        r.GetCounter("c2lsh_rounds_total",
-                     "Virtual-rehashing rounds executed by in-memory queries"),
-        r.GetCounter("c2lsh_collision_increments_total",
-                     "Collision-counter increments (in-memory queries)"),
-        r.GetCounter("c2lsh_candidates_verified_total",
-                     "Exact distance verifications (in-memory queries)"),
-        r.GetCounter("c2lsh_buckets_scanned_total",
-                     "Hash buckets visited (in-memory queries)"),
-        r.GetCounter("c2lsh_queries_t1_total",
-                     "Queries terminated by T1 (k verified within c*R)"),
-        r.GetCounter("c2lsh_queries_t2_total",
-                     "Queries terminated by T2 (k + beta*n candidate budget)"),
-        r.GetCounter("c2lsh_queries_exhausted_total",
-                     "Queries that covered every bucket of every table"),
-        r.GetCounter("c2lsh_queries_deadline_total",
-                     "Queries stopped by a deadline or page budget (partial results)"),
-        r.GetCounter("c2lsh_queries_cancelled_total",
-                     "Queries cooperatively cancelled (partial results)"),
-        r.GetHistogram("c2lsh_query_millis",
-                       "In-memory C2LSH query latency in milliseconds"),
         r.GetCounter("c2lsh_batch_queries_total",
                      "Queries answered through the batched engine (QueryBatch)"),
         r.GetCounter("c2lsh_batch_blocks_total",
@@ -95,52 +63,9 @@ const BatchMetrics& Metrics() {
   return m;
 }
 
-// Flushes one finished batch query into the shared core instruments plus the
-// per-query batch latency histogram. Identical accounting to RunQuery's
-// flush, so dashboards see one stream of query metrics.
-void FlushBatchQuery(const C2lshQueryStats& st, double millis) {
-  const BatchMetrics& m = Metrics();
-  m.queries->Increment();
-  m.rounds->Increment(st.rounds);
-  m.collision_increments->Increment(st.collision_increments);
-  m.candidates_verified->Increment(st.candidates_verified);
-  m.buckets_scanned->Increment(st.buckets_scanned);
-  switch (st.termination) {
-    case Termination::kT1:
-      m.t1->Increment();
-      break;
-    case Termination::kT2:
-      m.t2->Increment();
-      break;
-    case Termination::kExhausted:
-      m.exhausted->Increment();
-      break;
-    case Termination::kDeadline:
-      m.deadline->Increment();
-      break;
-    case Termination::kCancelled:
-      m.cancelled->Increment();
-      break;
-    case Termination::kNone:
-      break;
-  }
-  m.latency->Observe(millis);
-  m.batch_queries->Increment();
-  m.batch_query_millis->Observe(millis);
-}
-
-/// One co-resident query's execution state across rounds.
-///
-/// Collision counts are a plain zero-initialized array rather than
-/// CollisionCounter: the epoch trick buys O(1) reset for a long-lived
-/// scratch, but a block state is built fresh per query, so a single memset
-/// is cheaper than paying an extra 4-byte epoch load on every one of the
-/// ~10^5..10^6 random-access increments a query performs. RunQuery's
-/// `verified` bitmap is dropped for the same reason: counts are monotone
-/// (+1 per collision), so `++counts[id] == l` fires exactly once per id —
-/// letting counts run past l instead of freezing them changes no
-/// observable output (found set, stats, termination), and it removes a
-/// second random byte-load from the hot loop.
+/// One co-resident query's execution state across rounds. `counts` is the
+/// zeroed per-id array the counting kernel (core/counter.h) runs on, the
+/// same layout RunQuery keeps in its scratch.
 struct QueryState {
   std::vector<uint32_t> counts;    ///< per-id collision count this query
   std::vector<BucketRange> prev;   ///< per-table interval already scanned
@@ -259,7 +184,10 @@ void RunBatchBlock(const C2lshIndex& index, const Dataset& data,
     }
     results[q] = std::move(qs.found);
     stats[q] = qs.stats;
-    FlushBatchQuery(qs.stats, block_timer.ElapsedMillis());
+    const double millis = block_timer.ElapsedMillis();
+    FlushQueryMetrics(qs.stats, millis, /*exemplar_id=*/0);
+    bm.batch_queries->Increment();
+    bm.batch_query_millis->Observe(millis);
   };
 
   long long R = 1;
@@ -400,12 +328,12 @@ void RunBatchBlock(const C2lshIndex& index, const Dataset& data,
     });
     phase_a_span.End();
 
-    // Phase B — per-query merge. Each query (one owner per counter, no
-    // atomics) consumes every shard's buffer with the full serial cadence:
-    // cancellation polled every increment, the clock every
-    // kCheckIntervalMask+1 increments. The round-end verified set is
-    // increment-order-independent, so the merge order (shard 0..S-1, scan
-    // order within) yields the same state as any serial interleaving.
+    // Phase B — per-query merge. Each query (one owner per count array, no
+    // atomics) runs every shard's buffers through the counting kernel, which
+    // keeps the serial cadence when the query has a context. The round-end
+    // verified set is increment-order-independent, so the merge order
+    // (shard 0..S-1, scan order within) yields the same state as any serial
+    // interleaving.
     obs::ScopedSpan phase_b_span(obs::SpanSubsystem::kBatch, "phase_b_merge",
                                  block_id, sampled);
     pool->ParallelFor(active.size(), [&](size_t a) {
@@ -414,7 +342,7 @@ void RunBatchBlock(const C2lshIndex& index, const Dataset& data,
       const QueryContext* ctx = (ctxs != nullptr) ? ctxs[q] : nullptr;
       const float* query = queries + q * qstride;
       bool all_covered = true;
-      // analyze-ok(cancellation-cadence): O(S + groups) bookkeeping sweep over this round's group indices; the increment loop just below polls cancellation every increment and the clock at the mask cadence.
+      // analyze-ok(cancellation-cadence): O(S + groups) bookkeeping sweep over this round's group indices; the counting kernel just below polls cancellation every increment and the clock at the mask cadence.
       for (size_t s = 0; s < S; ++s) {
         const ShardDelta& d = deltas[s][q];
         all_covered = all_covered && d.covered;
@@ -424,52 +352,18 @@ void RunBatchBlock(const C2lshIndex& index, const Dataset& data,
           qs.stats.buckets_scanned += g.buckets_scanned;
         }
       }
-      uint32_t* const counts = qs.counts.data();
-      if (ctx == nullptr) {
-        // Fast path — no context, so nothing can stop the merge mid-stream:
-        // the increment tally is hoisted per group and the inner loop is
-        // just the count update and the ==l transition. This is the loop
-        // the >= 2x aggregate-throughput criterion rides on; keep it lean.
-        // analyze-ok(cancellation-cadence): this query has no QueryContext — there is nothing to poll; the ctx != nullptr branch below keeps the full serial cadence.
-        for (size_t s = 0; s < S; ++s) {
-          // analyze-ok(cancellation-cadence): same no-context fast path as the enclosing loop — nothing to poll.
-          for (uint32_t ix : deltas[s][q].group_ixs) {
-            const GroupScan& g = groups_pool[s][ix];
-            qs.stats.collision_increments += g.ids.size();
-            for (ObjectId id : g.ids) {
-              if (++counts[id] == l) {
-                const double dist = L2(query, data.object(id), dim);
-                qs.found.push_back(Neighbor{id, static_cast<float>(dist)});
-                ++qs.stats.candidates_verified;
-                qs.stats.data_pages += vector_pages;
-              }
-            }
-          }
-        }
-      } else {
-        for (size_t s = 0; s < S && qs.early_stop == Termination::kNone; ++s) {
-          for (uint32_t ix : deltas[s][q].group_ixs) {
-            if (qs.early_stop != Termination::kNone) break;
-            for (ObjectId id : groups_pool[s][ix].ids) {
-              ++qs.stats.collision_increments;
-              if (ctx->cancelled()) {
-                qs.early_stop = Termination::kCancelled;
-                break;
-              }
-              if ((qs.stats.collision_increments &
-                   QueryContext::kCheckIntervalMask) == 0 &&
-                  ctx->deadline.Expired()) {
-                qs.early_stop = Termination::kDeadline;
-                break;
-              }
-              if (++counts[id] == l) {
-                const double dist = L2(query, data.object(id), dim);
-                qs.found.push_back(Neighbor{id, static_cast<float>(dist)});
-                ++qs.stats.candidates_verified;
-                qs.stats.data_pages += vector_pages;
-              }
-            }
-          }
+      auto on_frequent = [&](ObjectId id) {
+        const double dist = L2(query, data.object(id), dim);
+        qs.found.push_back(Neighbor{id, static_cast<float>(dist)});
+        ++qs.stats.candidates_verified;
+        qs.stats.data_pages += vector_pages;
+      };
+      for (size_t s = 0; s < S && qs.early_stop == Termination::kNone; ++s) {
+        for (uint32_t ix : deltas[s][q].group_ixs) {
+          const std::vector<ObjectId>& ids = groups_pool[s][ix].ids;
+          qs.early_stop = CountCollisions(ids.data(), ids.size(), qs.counts.data(), l, ctx,
+                                          &qs.stats.collision_increments, on_frequent);
+          if (qs.early_stop != Termination::kNone) break;
         }
       }
       // Round end, merged counts: T1 > T2 > early stop > exhausted — the

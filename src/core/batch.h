@@ -49,6 +49,7 @@
 #define C2LSH_CORE_BATCH_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/core/index.h"
@@ -58,6 +59,13 @@
 #include "src/vector/types.h"
 
 namespace c2lsh {
+
+/// Flushes one finished in-memory query, serial or batched, into the shared
+/// c2lsh_* instruments: the query, round, increment, candidate and bucket
+/// counters, the counter its termination tag selects, and the latency
+/// histogram (`exemplar_id` 0 = no exemplar). Defined in index.cc.
+void FlushQueryMetrics(const C2lshQueryStats& st, double millis, uint64_t exemplar_id);
+
 namespace batch {
 
 /// Runs one co-resident block of queries to completion through the shared-

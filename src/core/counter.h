@@ -1,63 +1,63 @@
-// CollisionCounter: per-query collision counts over all object ids with
-// O(1) reset between queries (epoch trick — no O(n) clear).
+// CountCollisions: the paper's collision-counting loop (PAPER.md §3) — the
+// one copy every in-memory query runs (RunQuery, RangeQuery and the batch
+// engine's Phase B merge).
 
 #pragma once
 #ifndef C2LSH_CORE_COUNTER_H_
 #define C2LSH_CORE_COUNTER_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "src/util/query_context.h"
 #include "src/vector/types.h"
 
 namespace c2lsh {
 
-/// Counts, per object, how many of the m hash tables currently collide with
-/// the query. Counts are monotone within a query (intervals only grow) and
-/// reset lazily between queries.
-class CollisionCounter {
- public:
-  explicit CollisionCounter(size_t n) : counts_(n, 0), epochs_(n, 0) {}
-
-  /// Grows capacity to cover ids < n (dynamic inserts).
-  void EnsureCapacity(size_t n) {
-    if (n > counts_.size()) {
-      counts_.resize(n, 0);
-      epochs_.resize(n, 0);
+/// Counts one collision for each of ids[0, num_ids), in order, into
+/// `counts` (one slot per object id, zeroed at the start of the query), and
+/// calls `on_frequent(id)` at `++counts[id] == l`. Counts only grow within a
+/// query, so that test fires exactly once per id: letting counts run past l
+/// needs no second "already verified" array.
+///
+/// `*increments` is the query's running increment tally. With a context the
+/// loop keeps the serial stop cadence: cancellation is polled on every
+/// increment, the clock every kCheckIntervalMask + 1 increments, and a stop
+/// returns kCancelled / kDeadline at once — the stopping increment is
+/// tallied but not counted. Without one there is nothing to poll, so the
+/// tally is added once per span and the inner loop is just the count and the
+/// `== l` test. Returns kNone when the whole span was counted.
+template <typename OnFrequent>
+inline Termination CountCollisions(const ObjectId* ids, size_t num_ids, uint32_t* counts,
+                                   uint32_t l, const QueryContext* ctx,
+                                   uint64_t* increments, OnFrequent&& on_frequent) {
+  if (ctx == nullptr) {
+    *increments += num_ids;
+    // analyze-ok(cancellation-cadence): the query has no QueryContext — there is nothing to poll; the ctx branch below keeps the full serial cadence.
+    for (size_t i = 0; i < num_ids; ++i) {
+      const ObjectId id = ids[i];
+      if (++counts[id] == l) on_frequent(id);
     }
+    return Termination::kNone;
   }
-
-  /// Starts a new query: all counts read as zero afterwards, O(1).
-  void NewQuery() {
-    ++epoch_;
-    if (epoch_ == 0) {  // wrapped: do the rare O(n) clear
-      std::fill(epochs_.begin(), epochs_.end(), 0);
-      std::fill(counts_.begin(), counts_.end(), 0);
-      epoch_ = 1;
+  uint64_t tally = *increments;
+  Termination stop = Termination::kNone;
+  for (size_t i = 0; i < num_ids; ++i) {
+    ++tally;
+    if (ctx->cancelled()) {
+      stop = Termination::kCancelled;
+      break;
     }
-  }
-
-  /// Adds one collision for `id`; returns the new count.
-  uint32_t Increment(ObjectId id) {
-    if (epochs_[id] != epoch_) {
-      epochs_[id] = epoch_;
-      counts_[id] = 0;
+    if ((tally & QueryContext::kCheckIntervalMask) == 0 && ctx->deadline.Expired()) {
+      stop = Termination::kDeadline;
+      break;
     }
-    return ++counts_[id];
+    const ObjectId id = ids[i];
+    if (++counts[id] == l) on_frequent(id);
   }
-
-  /// Current count for `id` in this query.
-  uint32_t Count(ObjectId id) const { return epochs_[id] == epoch_ ? counts_[id] : 0; }
-
-  size_t capacity() const { return counts_.size(); }
-
- private:
-  std::vector<uint32_t> counts_;
-  std::vector<uint32_t> epochs_;
-  uint32_t epoch_ = 0;
-};
+  *increments = tally;
+  return stop;
+}
 
 }  // namespace c2lsh
 

@@ -294,8 +294,6 @@ Result<DiskC2lshIndex> DiskC2lshIndex::Build(const Dataset& data,
   index.dim_ = data.dim();
   index.radius_cap_ = radius_cap;
   index.family_ = std::make_unique<PStableFamily>(std::move(family));
-  index.counter_.EnsureCapacity(index.num_objects_);
-  index.verified_.assign(index.num_objects_, 0);
   index.pool_->ResetStats();
   return index;
 }
@@ -394,8 +392,6 @@ Result<DiskC2lshIndex> DiskC2lshIndex::Open(const std::string& path, size_t pool
           .status());
   index.UpdateMutationGauges();
 
-  index.counter_.EnsureCapacity(index.num_objects_);
-  index.verified_.assign(index.num_objects_, 0);
   index.pool_->ResetStats();
   return index;
 }
@@ -755,11 +751,7 @@ Result<NeighborList> DiskC2lshIndex::RunDiskQuery(const Dataset* data, const flo
   Timer query_timer;
   const BufferPoolStats pool_before = pool_->stats();
 
-  counter_.NewQuery();
-  counter_.EnsureCapacity(num_objects_);
-  if (verified_.size() < num_objects_) verified_.resize(num_objects_, 0);
-  for (ObjectId id : touched_) verified_[id] = 0;
-  touched_.clear();
+  counts_.assign(num_objects_, 0);
   table_bad_.assign(tables_.size(), 0);
   cursor_.Reset(tables_.size(), pool_->page_bytes());
 
@@ -810,10 +802,7 @@ Result<NeighborList> DiskC2lshIndex::RunDiskQuery(const Dataset* data, const flo
             early_stop = Termination::kCancelled;
             return;
           }
-          if (verified_[id] != 0) return;
-          if (counter_.Increment(id) == l) {
-            verified_[id] = 1;
-            touched_.push_back(id);
+          if (++counts_[id] == l) {
             const float* vec = nullptr;
             if (data != nullptr) {
               vec = data->object(id);

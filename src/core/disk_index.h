@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/counter.h"
 #include "src/core/index.h"
 #include "src/core/params.h"
 #include "src/lsh/pstable.h"
@@ -271,9 +270,7 @@ class DiskC2lshIndex {
   std::vector<DiskBucketTable> tables_;
 
   // Per-query scratch.
-  mutable CollisionCounter counter_{0};
-  mutable std::vector<uint8_t> verified_;
-  mutable std::vector<ObjectId> touched_;
+  mutable std::vector<uint32_t> counts_;  ///< per-id collision counts
   mutable std::vector<float> vector_buf_;
   mutable std::vector<uint8_t> table_bad_;  ///< tables dropped this query
   mutable ScanCursor cursor_;  ///< one entry page per table, m pages at most

@@ -5,6 +5,8 @@
 #include <limits>
 #include <string>
 
+#include "src/core/batch.h"
+#include "src/core/counter.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
@@ -16,9 +18,10 @@
 namespace c2lsh {
 namespace {
 
-// Registry handles resolved once per process; RunQuery flushes its local
-// C2lshQueryStats through these at query end, so the hot round loop never
-// touches an atomic (see docs/ARCHITECTURE.md, "Observability").
+// Registry handles resolved once per process. Serial and batched queries
+// flush their local C2lshQueryStats through these at query end (see
+// FlushQueryMetrics), so the hot round loop never touches an atomic (see
+// docs/ARCHITECTURE.md, "Observability").
 struct CoreMetrics {
   obs::Counter* queries;
   obs::Counter* rounds;
@@ -75,8 +78,30 @@ const CoreMetrics& Metrics() {
   return m;
 }
 
-void FlushQueryMetrics(const C2lshQueryStats& st, double millis,
-                       uint64_t exemplar_id) {
+// Scans one delta range of one table for a query: charges the range's entry
+// pages, bulk-copies its live ids below the query's object count `n` into
+// the scratch buffer (buckets_scanned counts every live entry, including
+// ids >= n), and counts them with the shared kernel. Returns the kernel's
+// stop: kNone, or kDeadline / kCancelled from `ctx`.
+template <typename OnFrequent>
+Termination ScanRange(const BucketTable::Snapshot& table, const BucketRange& range,
+                      size_t n, uint32_t l, const PageModel& page_model,
+                      const QueryContext* ctx, C2lshQueryScratch* scratch,
+                      C2lshQueryStats* st, OnFrequent&& on_frequent) {
+  if (range.empty()) return Termination::kNone;
+  const size_t range_entries = table.EntriesInRange(range.lo, range.hi);
+  if (range_entries > 0) {
+    st->index_pages += page_model.PagesForEntries(range_entries, sizeof(ObjectId));
+  }
+  scratch->ids.clear();
+  st->buckets_scanned += table.AppendRangeTo(range.lo, range.hi, n, &scratch->ids);
+  return CountCollisions(scratch->ids.data(), scratch->ids.size(), scratch->counts.data(),
+                         l, ctx, &st->collision_increments, on_frequent);
+}
+
+}  // namespace
+
+void FlushQueryMetrics(const C2lshQueryStats& st, double millis, uint64_t exemplar_id) {
   const CoreMetrics& m = Metrics();
   m.queries->Increment();
   m.rounds->Increment(st.rounds);
@@ -104,8 +129,6 @@ void FlushQueryMetrics(const C2lshQueryStats& st, double millis,
   }
   m.latency->Observe(millis, exemplar_id);
 }
-
-}  // namespace
 
 C2lshIndex::C2lshIndex(C2lshOptions options, C2lshDerived derived, PStableFamily family,
                        std::vector<BucketTable> tables, size_t num_objects, size_t dim,
@@ -216,8 +239,7 @@ Result<C2lshIndex> C2lshIndex::FromParts(const C2lshOptions& options,
 Result<NeighborList> C2lshIndex::Query(const Dataset& data, const float* query, size_t k,
                                        C2lshQueryStats* stats, obs::QueryTrace* trace,
                                        const QueryContext* ctx) const {
-  return RunQuery(data, query, k, /*max_radius=*/0, stats, &scratch_,
-                  /*filter=*/nullptr, trace, ctx);
+  return RunQuery(data, query, k, stats, &scratch_, /*filter=*/nullptr, trace, ctx);
 }
 
 Result<NeighborList> C2lshIndex::FilteredQuery(
@@ -226,11 +248,11 @@ Result<NeighborList> C2lshIndex::FilteredQuery(
   if (!filter) {
     return Status::InvalidArgument("FilteredQuery: filter must be callable");
   }
-  return RunQuery(data, query, k, /*max_radius=*/0, stats, &scratch_, &filter);
+  return RunQuery(data, query, k, stats, &scratch_, &filter);
 }
 
 Result<NeighborList> C2lshIndex::RunQuery(const Dataset& data, const float* query, size_t k,
-                                          long long max_radius, C2lshQueryStats* stats,
+                                          C2lshQueryStats* stats,
                                           C2lshQueryScratch* scratch,
                                           const std::function<bool(ObjectId)>* filter,
                                           obs::QueryTrace* trace,
@@ -242,9 +264,8 @@ Result<NeighborList> C2lshIndex::RunQuery(const Dataset& data, const float* quer
   // The query's frozen view of the index: the object count is read once and
   // every table is pinned once, up front. A concurrent Insert publishes its
   // table versions *before* raising the count, so an id admitted by `id < n`
-  // here always has counter/verified capacity — entries from newer table
-  // versions with id >= n are simply skipped until a later query picks up
-  // the larger n.
+  // here always has a count slot — entries from newer table versions with
+  // id >= n are simply skipped until a later query picks up the larger n.
   const size_t n = num_objects();
   if (data.size() < n) {
     return Status::InvalidArgument(
@@ -272,14 +293,7 @@ Result<NeighborList> C2lshIndex::RunQuery(const Dataset& data, const float* quer
                              span_query_id, sampled);
   Timer query_timer;
 
-  CollisionCounter& counter = scratch->counter;
-  std::vector<uint8_t>& verified = scratch->verified;
-  std::vector<ObjectId>& touched = scratch->touched;
-  counter.NewQuery();
-  counter.EnsureCapacity(n);
-  if (verified.size() < n) verified.resize(n, 0);
-  for (ObjectId id : touched) verified[id] = 0;
-  touched.clear();
+  scratch->counts.assign(n, 0);
 
   const size_t m = tables_.size();
   const uint32_t l = static_cast<uint32_t>(derived_.l);
@@ -290,7 +304,7 @@ Result<NeighborList> C2lshIndex::RunQuery(const Dataset& data, const float* quer
   const size_t t2_threshold = std::min<size_t>(
       n, k + static_cast<size_t>(std::ceil(derived_.beta * static_cast<double>(n))));
 
-  std::vector<BucketId> qbuckets;
+  std::vector<BucketId>& qbuckets = scratch->qbuckets;
   family_.BucketAll(query, &qbuckets);
 
   std::vector<BucketRange> prev(m);  // default-constructed = empty
@@ -306,46 +320,23 @@ Result<NeighborList> C2lshIndex::RunQuery(const Dataset& data, const float* quer
   st->index_pages += tables_.size();
 
   // Cooperative-stop state: kNone while running, kDeadline/kCancelled once
-  // the context expires. Checked inside the scan (cancellation every
-  // increment — an acquire load; the clock only every kCheckIntervalMask+1
-  // increments) and at every round boundary.
+  // the context expires. Checked inside the scan (the counting kernel's
+  // cadence: cancellation every increment, the clock every
+  // kCheckIntervalMask+1 increments) and at every round boundary.
   Termination early_stop = Termination::kNone;
 
+  // A candidate: an id whose count just reached l. A filter-rejected id is
+  // counted but never verified — no distance computed.
+  auto on_frequent = [&](ObjectId id) {
+    if (filter != nullptr && !(*filter)(id)) return;
+    const double dist = L2(query, data.object(id), dim_);
+    found.push_back(Neighbor{id, static_cast<float>(dist)});
+    ++st->candidates_verified;
+    st->data_pages += vector_pages;
+  };
   auto scan_range = [&](const BucketTable::Snapshot& table, const BucketRange& range) {
-    if (range.empty() || early_stop != Termination::kNone) return;
-    const size_t range_entries = table.EntriesInRange(range.lo, range.hi);
-    if (range_entries > 0) {
-      st->index_pages += page_model_.PagesForEntries(range_entries, sizeof(ObjectId));
-    }
-    const size_t visited = table.ForEachInRange(range.lo, range.hi, [&](ObjectId id) {
-      if (static_cast<size_t>(id) >= n) return;  // inserted after this query started
-      if (early_stop != Termination::kNone) return;
-      ++st->collision_increments;
-      if (ctx != nullptr) {
-        if (ctx->cancelled()) {
-          early_stop = Termination::kCancelled;
-          return;
-        }
-        if ((st->collision_increments & QueryContext::kCheckIntervalMask) == 0 &&
-            ctx->deadline.Expired()) {
-          early_stop = Termination::kDeadline;
-          return;
-        }
-      }
-      if (verified[id] != 0) return;  // already a verified candidate
-      if (counter.Increment(id) == l) {
-        verified[id] = 1;
-        touched.push_back(id);
-        if (filter != nullptr && !(*filter)(id)) {
-          return;  // rejected at the verification gate: no distance computed
-        }
-        const double dist = L2(query, data.object(id), dim_);
-        found.push_back(Neighbor{id, static_cast<float>(dist)});
-        ++st->candidates_verified;
-        st->data_pages += vector_pages;
-      }
-    });
-    st->buckets_scanned += visited;
+    if (early_stop != Termination::kNone) return;
+    early_stop = ScanRange(table, range, n, l, page_model_, ctx, scratch, st, on_frequent);
   };
 
   long long R = 1;
@@ -426,7 +417,6 @@ Result<NeighborList> C2lshIndex::RunQuery(const Dataset& data, const float* quer
       trace->rounds.push_back(span);
     }
     if (st->termination != Termination::kNone) break;
-    if (max_radius > 0 && R >= max_radius) break;
     R *= c_int;
   }
 
@@ -484,20 +474,13 @@ Result<NeighborList> C2lshIndex::RangeQuery(const Dataset& data, const float* qu
   *st = C2lshQueryStats();
 
   C2lshQueryScratch* scratch = &scratch_;
-  CollisionCounter& counter = scratch->counter;
-  std::vector<uint8_t>& verified = scratch->verified;
-  std::vector<ObjectId>& touched = scratch->touched;
-  counter.NewQuery();
-  counter.EnsureCapacity(n);
-  if (verified.size() < n) verified.resize(n, 0);
-  for (ObjectId id : touched) verified[id] = 0;
-  touched.clear();
+  scratch->counts.assign(n, 0);
 
   const size_t m = tables_.size();
   const uint32_t l = static_cast<uint32_t>(derived_.l);
   const long long c_int = static_cast<long long>(std::llround(derived_.model.c));
 
-  std::vector<BucketId> qbuckets;
+  std::vector<BucketId>& qbuckets = scratch->qbuckets;
   family_.BucketAll(query, &qbuckets);
   std::vector<BucketRange> prev(m);
   NeighborList found;
@@ -509,44 +492,21 @@ Result<NeighborList> C2lshIndex::RangeQuery(const Dataset& data, const float* qu
   const uint64_t vector_pages = page_model_.PagesPerVector(dim_);
   st->index_pages += tables_.size();
 
-  // Same cooperative-stop shape as RunQuery: cancellation is an acquire load
-  // polled every increment, the clock only every kCheckIntervalMask+1.
+  // Same cooperative-stop shape as RunQuery: the kernel polls inside the
+  // scan, the page budget is checked at the round boundary.
   Termination early_stop = Termination::kNone;
 
-  auto scan_range = [&](const BucketTable::Snapshot& table, const BucketRange& range) {
-    if (range.empty() || early_stop != Termination::kNone) return;
-    const size_t range_entries = table.EntriesInRange(range.lo, range.hi);
-    if (range_entries > 0) {
-      st->index_pages += page_model_.PagesForEntries(range_entries, sizeof(ObjectId));
+  auto on_frequent = [&](ObjectId id) {
+    const double dist = L2(query, data.object(id), dim_);
+    ++st->candidates_verified;
+    st->data_pages += vector_pages;
+    if (dist <= radius) {
+      found.push_back(Neighbor{id, static_cast<float>(dist)});
     }
-    const size_t visited = table.ForEachInRange(range.lo, range.hi, [&](ObjectId id) {
-      if (static_cast<size_t>(id) >= n) return;  // inserted after this query started
-      if (early_stop != Termination::kNone) return;
-      ++st->collision_increments;
-      if (ctx != nullptr) {
-        if (ctx->cancelled()) {
-          early_stop = Termination::kCancelled;
-          return;
-        }
-        if ((st->collision_increments & QueryContext::kCheckIntervalMask) == 0 &&
-            ctx->deadline.Expired()) {
-          early_stop = Termination::kDeadline;
-          return;
-        }
-      }
-      if (verified[id] != 0) return;
-      if (counter.Increment(id) == l) {
-        verified[id] = 1;
-        touched.push_back(id);
-        const double dist = L2(query, data.object(id), dim_);
-        ++st->candidates_verified;
-        st->data_pages += vector_pages;
-        if (dist <= radius) {
-          found.push_back(Neighbor{id, static_cast<float>(dist)});
-        }
-      }
-    });
-    st->buckets_scanned += visited;
+  };
+  auto scan_range = [&](const BucketTable::Snapshot& table, const BucketRange& range) {
+    if (early_stop != Termination::kNone) return;
+    early_stop = ScanRange(table, range, n, l, page_model_, ctx, scratch, st, on_frequent);
   };
 
   // Run every round up to the first scheduled R >= radius: at that level an
@@ -601,11 +561,10 @@ Result<Neighbor> C2lshIndex::DecisionQuery(const Dataset& data, const float* que
   snaps.reserve(tables_.size());
   for (const BucketTable& table : tables_) snaps.push_back(table.snapshot());
 
-  CollisionCounter& counter = scratch_.counter;
-  counter.NewQuery();
-  counter.EnsureCapacity(n);
+  std::vector<uint32_t>& counts = scratch_.counts;
+  counts.assign(n, 0);
 
-  std::vector<BucketId> qbuckets;
+  std::vector<BucketId>& qbuckets = scratch_.qbuckets;
   family_.BucketAll(query, &qbuckets);
 
   const uint32_t l = static_cast<uint32_t>(derived_.l);
@@ -640,7 +599,7 @@ Result<Neighbor> C2lshIndex::DecisionQuery(const Dataset& data, const float* que
         }
       }
       if (have_hit || verified >= fp_budget || early_stop != Termination::kNone) return;
-      if (counter.Increment(id) == l) {
+      if (++counts[id] == l) {
         const double dist = L2(query, data.object(id), dim_);
         ++verified;
         ++st->candidates_verified;

@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/counter.h"
 #include "src/core/params.h"
 #include "src/core/virtual_rehash.h"
 #include "src/lsh/pstable.h"
@@ -64,8 +63,7 @@ struct C2lshQueryStats {
   /// Which condition ended the query: kT1 / kT2 / kExhausted (full
   /// coverage), kDeadline / kCancelled (a QueryContext stopped it with
   /// partial results), or kNone when an external bound stopped it first
-  /// (max_radius probes, RangeQuery's radius schedule, DecisionQuery's
-  /// single round).
+  /// (RangeQuery's radius schedule, DecisionQuery's single round).
   Termination termination = Termination::kNone;
 
   uint64_t total_pages() const { return index_pages + data_pages; }
@@ -74,9 +72,8 @@ struct C2lshQueryStats {
 /// Reusable per-query scratch space. One instance per thread; see
 /// C2lshIndex::Searcher for the thread-safe query API.
 struct C2lshQueryScratch {
-  CollisionCounter counter{0};
-  std::vector<uint8_t> verified;
-  std::vector<ObjectId> touched;
+  std::vector<uint32_t> counts;  ///< per-id collision counts, zeroed per query
+  std::vector<ObjectId> ids;     ///< one delta range's live ids, in scan order
   std::vector<BucketId> qbuckets;
 };
 
@@ -120,8 +117,8 @@ class C2lshIndex {
                                C2lshQueryStats* stats = nullptr,
                                obs::QueryTrace* trace = nullptr,
                                const QueryContext* ctx = nullptr) {
-      return index_->RunQuery(data, query, k, /*max_radius=*/0, stats, &scratch_,
-                              /*filter=*/nullptr, trace, ctx);
+      return index_->RunQuery(data, query, k, stats, &scratch_, /*filter=*/nullptr,
+                              trace, ctx);
     }
 
    private:
@@ -295,8 +292,7 @@ class C2lshIndex {
              std::vector<BucketTable> tables, size_t num_objects, size_t dim,
              long long radius_cap);
 
-  /// Shared round loop. `max_radius`: stop after the round at this radius
-  /// (0 = unbounded, run to termination). `scratch` holds the per-query
+  /// Shared round loop, run to termination. `scratch` holds the per-query
   /// state; distinct scratches make concurrent queries safe. `filter`, when
   /// non-null, gates verification (see FilteredQuery). `trace`, when
   /// non-null, records one QueryRoundSpan per round. `ctx`, when non-null,
@@ -305,8 +301,7 @@ class C2lshIndex {
   /// clock every kCheckIntervalMask+1 increments); expiry stops the query
   /// cooperatively with partial results.
   Result<NeighborList> RunQuery(const Dataset& data, const float* query, size_t k,
-                                long long max_radius, C2lshQueryStats* stats,
-                                C2lshQueryScratch* scratch,
+                                C2lshQueryStats* stats, C2lshQueryScratch* scratch,
                                 const std::function<bool(ObjectId)>* filter = nullptr,
                                 obs::QueryTrace* trace = nullptr,
                                 const QueryContext* ctx = nullptr) const;

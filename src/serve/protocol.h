@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "src/obs/trace.h"
+#include "src/util/query_context.h"
 #include "src/util/socket.h"
 #include "src/util/status.h"
 #include "src/vector/types.h"
@@ -62,10 +63,9 @@ bool ValidMsgType(uint8_t t);
 
 /// True when a termination tag marks a best-effort PARTIAL result (deadline
 /// or budget expiry, cooperative cancellation) — the tags clients must honor
-/// before treating a result set as complete.
-inline bool IsEarlyStop(Termination t) {
-  return t == Termination::kDeadline || t == Termination::kCancelled;
-}
+/// before treating a result set as complete. The one definition lives in
+/// util/query_context.h; serve::IsEarlyStop names it for wire clients.
+using ::c2lsh::IsEarlyStop;
 
 struct Request {
   MsgType type = MsgType::kHealth;

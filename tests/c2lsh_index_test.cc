@@ -388,6 +388,80 @@ TEST(C2lshIndexTest, RangeQueryEmptyWhenNothingInRange) {
   EXPECT_EQ(nonempty, 0u);
 }
 
+// The counting loop against an independent oracle: CollisionCountsAtRadius
+// recounts every table's interval at the query's final radius. Intervals
+// nest across rounds, so a query that ran its last round to the end has
+// counted exactly those collisions, and its candidates are exactly the ids
+// whose count reached l. Checked on the flat tables, then again after
+// deletes and re-inserts put tombstones and overlay entries in the scans.
+TEST(C2lshIndexTest, CountingMatchesCollisionCountOracle) {
+  TestWorld world = MakeWorld(2000, 6, 10, 47);
+  auto index = C2lshIndex::Build(world.data, SmallOptions());
+  ASSERT_TRUE(index.ok());
+  const uint32_t l = static_cast<uint32_t>(index->derived().l);
+  const size_t dim = world.data.dim();
+  auto odd_only = [](ObjectId id) { return id % 2 == 1; };
+
+  auto check_all = [&](const char* phase) {
+    SCOPED_TRACE(phase);
+    for (size_t q = 0; q < world.queries.num_rows(); ++q) {
+      SCOPED_TRACE(q);
+      const float* query = world.queries.row(q);
+
+      C2lshQueryStats st;
+      ASSERT_TRUE(index->Query(world.data, query, 10, &st).ok());
+      ASSERT_FALSE(IsEarlyStop(st.termination));
+      ASSERT_NE(st.termination, Termination::kNone);
+      std::vector<uint32_t> counts = index->CollisionCountsAtRadius(query, st.final_radius);
+      uint64_t sum = 0;
+      uint64_t frequent = 0;
+      for (uint32_t cnt : counts) {
+        sum += cnt;
+        frequent += cnt >= l ? 1 : 0;
+      }
+      EXPECT_EQ(st.candidates_verified, frequent);
+      EXPECT_EQ(st.collision_increments, sum);
+
+      C2lshQueryStats fst;
+      ASSERT_TRUE(index->FilteredQuery(world.data, query, 10, odd_only, &fst).ok());
+      ASSERT_FALSE(IsEarlyStop(fst.termination));
+      counts = index->CollisionCountsAtRadius(query, fst.final_radius);
+      uint64_t accepted = 0;
+      for (size_t id = 0; id < counts.size(); ++id) {
+        if (counts[id] >= l && odd_only(static_cast<ObjectId>(id))) ++accepted;
+      }
+      EXPECT_EQ(fst.candidates_verified, accepted);
+
+      const double radius = 10.0;
+      C2lshQueryStats rst;
+      auto range = index->RangeQuery(world.data, query, radius, &rst);
+      ASSERT_TRUE(range.ok());
+      counts = index->CollisionCountsAtRadius(query, rst.final_radius);
+      NeighborList expected;
+      for (size_t id = 0; id < counts.size(); ++id) {
+        if (counts[id] < l) continue;
+        const double d = L2(query, world.data.object(static_cast<ObjectId>(id)), dim);
+        if (d <= radius) {
+          expected.push_back(Neighbor{static_cast<ObjectId>(id), static_cast<float>(d)});
+        }
+      }
+      std::sort(expected.begin(), expected.end(), NeighborLess());
+      ASSERT_EQ(range->size(), expected.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ((*range)[i].id, expected[i].id);
+        EXPECT_EQ((*range)[i].dist, expected[i].dist);
+      }
+    }
+  };
+
+  check_all("flat tables");
+  for (ObjectId id = 0; id < 2000; id += 7) ASSERT_TRUE(index->Delete(id).ok());
+  for (ObjectId id = 0; id < 2000; id += 21) {
+    ASSERT_TRUE(index->Insert(id, world.data.object(id)).ok());
+  }
+  check_all("tombstones and overlay");
+}
+
 TEST(C2lshIndexTest, InsertedObjectBecomesFindable) {
   auto pd = MakeProfileDataset(DatasetProfile::kColor, 1000, 1, 16);
   ASSERT_TRUE(pd.ok());

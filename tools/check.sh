@@ -51,12 +51,14 @@
 #             .clang-tidy — SKIP when clang-tidy is missing or too old; a
 #             finding from an installed, current clang-tidy FAILS the lane
 #   perf      opt-in (--perf): the repository benchmark, perfbench/run.py
-#             --workload wire_cold_rw --seconds 10, once with --trace 0 and
-#             once with --trace 1 (benchmark build in build-check/perfbench
+#             --seconds 10: wire_cold_rw once with --trace 0 and once with
+#             --trace 1, then embed_batch with --trace 0, whose bitwise
+#             QueryBatch == Searcher::Query gate turns a batch/serial
+#             mismatch red (benchmark build in build-check/perfbench
 #             unless CARGO_TARGET_DIR is set). Any non-zero exit fails the
 #             lane; run.py's stderr is echoed after each run with a verdict:
 #             a correctness VIOLATION, an invalid run (load generator late),
-#             or a crash/build failure. The traced run also fails the lane
+#             or a crash/build failure. The traced wire run also fails the lane
 #             when storage.pool_misses_per_query reaches file_pages: a disk
 #             query reads each entry page at most once, so more misses than
 #             the file has pages means rounds are re-reading pages again
@@ -74,7 +76,7 @@
 # Usage: tools/check.sh [--fast] [--perf]
 #   --fast: lint + default + analyze + the default-tree ctest sublanes;
 #           skips the scalar, sanitizer, fuzz, clang and tidy lanes.
-#   --perf: also runs the perf lane (about 3 minutes on 4 cores, most of it
+#   --perf: also runs the perf lane (about 4 minutes on 4 cores, most of it
 #           the first benchmark build).
 
 set -u
@@ -284,29 +286,32 @@ fi
 # --- perf (opt-in: the repository benchmark, short runs) --------------------
 perf_lane() {
   local target="${CARGO_TARGET_DIR:-build-check/perfbench}"
-  local trace code out err misses pages status=0
+  local run workload trace code out err misses pages status=0
   mkdir -p build-check || return 1
-  for trace in 0 1; do
-    out="build-check/perf-trace${trace}.stdout"
-    err="build-check/perf-trace${trace}.stderr"
-    note "  (perfbench wire_cold_rw, --trace ${trace})"
+  for run in wire_cold_rw:0 wire_cold_rw:1 embed_batch:0; do
+    workload="${run%%:*}"
+    trace="${run##*:}"
+    out="build-check/perf-${workload}-trace${trace}.stdout"
+    err="build-check/perf-${workload}-trace${trace}.stderr"
+    note "  (perfbench ${workload}, --trace ${trace})"
     CARGO_TARGET_DIR="${target}" python3 perfbench/run.py \
-      --workload wire_cold_rw --seed 1 --seconds 10 --trace "${trace}" \
+      --workload "${workload}" --seed 1 --seconds 10 --trace "${trace}" \
       2>"${err}" | tee "${out}"
     code=${PIPESTATUS[0]}
-    echo "--- run.py stderr (--trace ${trace}) ---"
+    echo "--- run.py stderr (${workload}, --trace ${trace}) ---"
     cat "${err}"
     if [[ ${code} -ne 0 ]]; then
       if grep -q "VIOLATION\|correctness gate" "${err}"; then
-        echo "perf: --trace ${trace}: correctness VIOLATION (exit ${code})"
+        echo "perf: ${workload} --trace ${trace}: correctness VIOLATION (exit ${code})"
       elif grep -q "invalid run" "${err}"; then
-        echo "perf: --trace ${trace}: invalid run — the load generator fell" \
-          "behind (gen.late_ms_p99 > 5 ms; the host was too busy) (exit ${code})"
+        echo "perf: ${workload} --trace ${trace}: invalid run — the load" \
+          "generator fell behind (gen.late_ms_p99 > 5 ms; the host was too" \
+          "busy) (exit ${code})"
       else
-        echo "perf: --trace ${trace}: build failure or crash (exit ${code})"
+        echo "perf: ${workload} --trace ${trace}: build failure or crash (exit ${code})"
       fi
       status=${code}
-    elif [[ ${trace} -eq 1 ]]; then
+    elif [[ ${run} == wire_cold_rw:1 ]]; then
       # Both figures are on run.py's stdout: "config file_pages = N" and
       # "storage.pool_misses_per_query  X count".
       pages="$(awk '$1 == "config" && $2 == "file_pages" { print $4 }' "${out}")"
