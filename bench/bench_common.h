@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,9 +19,11 @@
 #include "src/eval/method.h"
 #include "src/eval/report.h"
 #include "src/eval/table.h"
+#include "src/obs/build_info.h"
 #include "src/obs/span.h"
 #include "src/util/argparse.h"
 #include "src/vector/ground_truth.h"
+#include "src/vector/simd.h"
 #include "src/vector/synthetic.h"
 
 namespace c2lsh {
@@ -225,6 +228,44 @@ inline void PrintHeader(const std::string& exp_id, const std::string& title) {
   std::printf("\n================================================================\n");
   std::printf("%s — %s\n", exp_id.c_str(), title.c_str());
   std::printf("================================================================\n");
+}
+
+// The machine a bench measured on: CPU model and logical CPU count (from
+// /proc/cpuinfo where it exists) and the ISAs the numbers cover.
+struct Machine {
+  std::string cpu = "unknown";
+  size_t cpus = 0;
+  std::string isas;
+};
+
+inline Machine DescribeMachine(const std::vector<simd::Isa>& isas) {
+  Machine m;
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("processor", 0) == 0) ++m.cpus;
+    if (m.cpu == "unknown" && line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        m.cpu = line.substr(colon + 2);
+      }
+    }
+  }
+  for (simd::Isa isa : isas) {
+    m.isas += (m.isas.empty() ? "" : " ") + std::string(simd::IsaName(isa));
+  }
+  return m;
+}
+
+/// `m` as a one-line JSON object, plus the compiler and source revision.
+inline std::string MachineJson(const Machine& m) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\"cpu\": \"%s\", \"cpus\": %zu, \"isas\": \"%s\", "
+                "\"compiler\": \"%s\", \"git\": \"%s\"}",
+                m.cpu.c_str(), m.cpus, m.isas.c_str(), __VERSION__,
+                std::string(obs::BuildGitDescribe()).c_str());
+  return buf;
 }
 
 }  // namespace bench

@@ -1,20 +1,22 @@
 // Figure F8 — batched query engine throughput vs the serial query loop.
 //
-// Sweeps QueryBatch's batch_size x num_shards grid over the paper's
+// Sweeps QueryBatch's batch_size x pool-width grid over the paper's
 // in-memory profiles (the F3 workload) and reports aggregate throughput
 // (queries/sec), the speedup over a serial loop of Query() calls, and the
 // per-query latency percentiles (p50/p95/p99). Both latency columns come
 // from exact per-call samples: a serial query's latency is its own Query()
 // call, a batched query's is the QueryBatch() call over its block (the bench
 // submits one block per call, and a caller gets every answer of a block when
-// that call returns). The speedup on a single core comes from the engine's
-// shared bucket-run scans and the query-major projection kernel, not from
-// parallelism; with more cores the table sharding adds on top.
+// that call returns). QueryBatch runs each query on the serial loop, so the
+// speedup is the pool's query parallelism: a width-1 pool is the serial loop
+// plus bookkeeping, and wider pools add one lane per thread.
 // --metrics_out writes the whole sweep as JSON (BENCH_batch.json in CI)
-// including a `speedup_batch32` summary per profile and the workload-level
-// `aggregate_speedup_batch32` (total serial time over total best batched
-// time at batch >= 32, across every profile) — the acceptance gate is
-// aggregate >= 2x at batch >= 32 on the F3 workload.
+// with the machine it ran on, a `speedup_batch32` summary per profile, the
+// workload-level `aggregate_speedup_batch32` (total serial time over total
+// best batched time at batch >= 32, across every profile) and the same
+// aggregate per pool width, `aggregate_speedup_batch32_by_pool`. The
+// acceptance bar is aggregate >= 2x at batch >= 32 on the F3 workload;
+// EXPERIMENTS.md (F8) records how it stands at each pool width.
 //
 // The binary also owns the span-tracing overhead gate: with tracing compiled
 // in but disabled (the production default) the per-span cost, scaled by the
@@ -25,12 +27,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "src/core/index.h"
 #include "src/obs/span.h"
+#include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 
 namespace c2lsh {
@@ -47,7 +51,7 @@ double SamplePercentile(std::vector<double> samples, double p) {
 
 struct RunRow {
   size_t batch_size = 0;   // 0 = whole batch in one block
-  size_t num_shards = 0;
+  size_t pool_threads = 0;
   double millis = 0.0;     // best-of-reps wall time for the whole batch
   double qps = 0.0;
   double speedup = 0.0;    // vs the serial Query() loop
@@ -84,10 +88,10 @@ void AppendJson(std::string* out, const ProfileRows& p) {
   for (size_t i = 0; i < p.runs.size(); ++i) {
     const RunRow& r = p.runs[i];
     std::snprintf(buf, sizeof(buf),
-                  "      {\"batch_size\": %zu, \"num_shards\": %zu, "
+                  "      {\"batch_size\": %zu, \"pool_threads\": %zu, "
                   "\"millis\": %.3f, \"qps\": %.1f, \"speedup\": %.3f, "
                   "\"p50\": %.4f, \"p95\": %.4f, \"p99\": %.4f}%s\n",
-                  r.batch_size, r.num_shards, r.millis, r.qps, r.speedup,
+                  r.batch_size, r.pool_threads, r.millis, r.qps, r.speedup,
                   r.p50, r.p95, r.p99, i + 1 < p.runs.size() ? "," : "");
     *out += buf;
   }
@@ -111,11 +115,12 @@ int Run(int argc, char** argv) {
 
   bench::PrintHeader("F8", "QueryBatch throughput vs serial Query loop");
 
-  // batch_size 0 means "the whole query set in one block" — the widest
-  // sharing. Shard counts beyond the core count still exercise the
-  // deterministic merge; on one core they are pure bookkeeping.
+  // batch_size 0 means "the whole query set in one block". A pool is
+  // clamped to the hardware, so on a smaller host the wider pools repeat
+  // the widest real one; the JSON records each pool's actual width.
   const std::vector<size_t> batch_sizes = {8, 32, 0};
-  const std::vector<size_t> shard_counts = {1, 2, 4};
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (size_t width : {1, 2, 4}) pools.push_back(std::make_unique<ThreadPool>(width));
 
   std::vector<ProfileRows> all;
   for (DatasetProfile profile : AllDatasetProfiles()) {
@@ -164,13 +169,13 @@ int Run(int argc, char** argv) {
         }
         blocks.push_back(std::move(m).value());
       }
-      for (size_t shards : shard_counts) {
+      for (const std::unique_ptr<ThreadPool>& pool : pools) {
         C2lshIndex::BatchQueryOptions opts;
         opts.batch_size = batch;
-        opts.num_shards = shards;
+        opts.pool = pool.get();
         RunRow row;
         row.batch_size = batch;
-        row.num_shards = shards;
+        row.pool_threads = pool->num_threads();
         std::vector<double> batch_query_millis;  // final rep, one per query
         for (int rep = 0; rep < reps; ++rep) {
           batch_query_millis.clear();
@@ -207,11 +212,11 @@ int Run(int argc, char** argv) {
     std::printf("serial loop: %.1f ms  (%.1f q/s)  p50=%.3f p95=%.3f p99=%.3f\n",
                 rows.serial_millis, rows.serial_qps, rows.serial_p50,
                 rows.serial_p95, rows.serial_p99);
-    TablePrinter table({"batch", "shards", "ms", "q/s", "speedup", "p50",
+    TablePrinter table({"batch", "pool", "ms", "q/s", "speedup", "p50",
                         "p95", "p99"});
     for (const RunRow& r : rows.runs) {
       table.AddRow({r.batch_size == 0 ? "all" : std::to_string(r.batch_size),
-                    std::to_string(r.num_shards), TablePrinter::Fmt(r.millis, 1),
+                    std::to_string(r.pool_threads), TablePrinter::Fmt(r.millis, 1),
                     TablePrinter::Fmt(r.qps, 1), TablePrinter::Fmt(r.speedup, 2),
                     TablePrinter::Fmt(r.p50, 3), TablePrinter::Fmt(r.p95, 3),
                     TablePrinter::Fmt(r.p99, 3)});
@@ -222,7 +227,8 @@ int Run(int argc, char** argv) {
   }
 
   // Workload-level aggregate: total serial time over total best batched
-  // time at batch >= 32, across all profiles — the F3-workload gate.
+  // time at batch >= 32, across all profiles — over every pool, then per
+  // pool width.
   double serial_total = 0.0, batch32_total = 0.0;
   for (const ProfileRows& p : all) {
     serial_total += p.serial_millis;
@@ -234,6 +240,29 @@ int Run(int argc, char** argv) {
       "\naggregate speedup at batch >= 32 (whole F3 workload): %.2fx "
       "(serial %.1f ms -> batched %.1f ms)\n",
       aggregate, serial_total, batch32_total);
+  std::string by_pool;  // JSON members "width": speedup
+  size_t last_width = 0;
+  for (const std::unique_ptr<ThreadPool>& pool : pools) {
+    const size_t width = pool->num_threads();
+    if (width == last_width) continue;  // a clamped pool repeats the last one
+    last_width = width;
+    double pool_total = 0.0;
+    for (const ProfileRows& p : all) {
+      double best = 0.0;
+      for (const RunRow& r : p.runs) {
+        const size_t block = r.batch_size == 0 ? p.nq : r.batch_size;
+        if (r.pool_threads != width || block < 32) continue;
+        if (best == 0.0 || r.millis < best) best = r.millis;
+      }
+      pool_total += best;
+    }
+    const double speedup = pool_total > 0.0 ? serial_total / pool_total : 0.0;
+    std::printf("  pool width %zu: %.2fx\n", width, speedup);
+    char entry[64];
+    std::snprintf(entry, sizeof(entry), "%s\"%zu\": %.3f", by_pool.empty() ? "" : ", ",
+                  width, speedup);
+    by_pool += entry;
+  }
 
   // Span-tracing overhead, measured on the serial loop over one profile.
   // Three numbers: the untraced baseline (tracing compiled in, mode off —
@@ -328,6 +357,8 @@ int Run(int argc, char** argv) {
   const std::string path = parser.GetString("metrics_out");
   if (!path.empty()) {
     std::string json = "{\n  \"bench\": \"f8_batch\",\n";
+    json += "  \"machine\": " +
+            bench::MachineJson(bench::DescribeMachine({simd::ActiveIsa()})) + ",\n";
     char buf[160];
     std::snprintf(buf, sizeof(buf), "  \"k\": %zu, \"reps\": %d,\n", k, reps);
     json += buf;
@@ -341,6 +372,7 @@ int Run(int argc, char** argv) {
                   "  \"min_speedup_batch32\": %.3f,\n",
                   aggregate, worst);
     json += buf;
+    json += "  \"aggregate_speedup_batch32_by_pool\": {" + by_pool + "},\n";
     std::snprintf(buf, sizeof(buf),
                   "  \"tracing_overhead\": {\"disabled_pct\": %.4f, "
                   "\"armed_pct\": %.2f},\n",

@@ -12,6 +12,7 @@
 #include "src/lsh/pstable.h"
 #include "src/storage/bucket_table.h"
 #include "src/util/random.h"
+#include "src/util/thread_pool.h"
 #include "src/vector/distance.h"
 #include "src/vector/synthetic.h"
 
@@ -155,8 +156,11 @@ void BM_BatchQueryThreads(benchmark::State& state) {
     static C2lshIndex idx = std::move(r).value();
     return &idx;
   }();
+  ThreadPool pool(threads);
+  C2lshIndex::BatchQueryOptions opts;
+  opts.pool = &pool;
   for (auto _ : state) {
-    auto r = index.BatchQuery(pd.data, pd.queries, 10, threads);
+    auto r = index.QueryBatch(pd.data, pd.queries, 10, opts);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations() * 64);

@@ -13,14 +13,12 @@
 // Usage: bench_m2_kernels [--reps 200] [--out BENCH_kernels.json]
 
 #include <cstdio>
-#include <fstream>
 #include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "src/lsh/pstable.h"
-#include "src/obs/build_info.h"
 #include "src/util/random.h"
 #include "src/util/timer.h"
 #include "src/vector/aligned.h"
@@ -82,34 +80,6 @@ void PrintRow(const Measurement& m) {
               m.ns_per_op, m.gb_per_s, m.speedup_vs_scalar);
 }
 
-// The machine the numbers were measured on: CPU model and logical CPU count
-// (from /proc/cpuinfo where it exists), the reachable ISAs, the compiler and
-// the source revision.
-struct Machine {
-  std::string cpu = "unknown";
-  size_t cpus = 0;
-  std::string isas;
-};
-
-Machine DescribeMachine(const std::vector<simd::Isa>& isas) {
-  Machine m;
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(cpuinfo, line)) {
-    if (line.rfind("processor", 0) == 0) ++m.cpus;
-    if (m.cpu == "unknown" && line.rfind("model name", 0) == 0) {
-      const size_t colon = line.find(':');
-      if (colon != std::string::npos && colon + 2 <= line.size()) {
-        m.cpu = line.substr(colon + 2);
-      }
-    }
-  }
-  for (simd::Isa isa : isas) {
-    m.isas += (m.isas.empty() ? "" : " ") + std::string(simd::IsaName(isa));
-  }
-  return m;
-}
-
 void WriteJson(const std::string& path, const Machine& machine,
                const std::vector<Measurement>& rows) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -117,12 +87,8 @@ void WriteJson(const std::string& path, const Machine& machine,
     std::fprintf(stderr, "FATAL: cannot open %s for writing\n", path.c_str());
     std::exit(1);
   }
-  std::fprintf(f,
-               "{\n  \"bench\": \"m2_kernels\",\n"
-               "  \"machine\": {\"cpu\": \"%s\", \"cpus\": %zu, \"isas\": \"%s\", "
-               "\"compiler\": \"%s\", \"git\": \"%s\"},\n  \"rows\": [\n",
-               machine.cpu.c_str(), machine.cpus, machine.isas.c_str(), __VERSION__,
-               std::string(obs::BuildGitDescribe()).c_str());
+  std::fprintf(f, "{\n  \"bench\": \"m2_kernels\",\n  \"machine\": %s,\n  \"rows\": [\n",
+               MachineJson(machine).c_str());
   for (size_t i = 0; i < rows.size(); ++i) {
     const Measurement& m = rows[i];
     const char* axis = m.bytes > 0 ? "bytes" : "dim";

@@ -1,6 +1,6 @@
 // CountCollisions: the paper's collision-counting loop (PAPER.md §3) — the
-// one copy every in-memory query runs (RunQuery, RangeQuery and the batch
-// engine's Phase B merge).
+// one copy every in-memory k-NN and range query runs (RunQuery, and so
+// every QueryBatch query, and RangeQuery).
 
 #pragma once
 #ifndef C2LSH_CORE_COUNTER_H_

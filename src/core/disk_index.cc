@@ -711,7 +711,7 @@ Result<std::vector<NeighborList>> DiskC2lshIndex::RunDiskBatch(
   // Layer 1 only: the whole batch is bucketed in one query-major blocked
   // projection pass. The scan/verify rounds stay sequential per query — the
   // disk index is single-reader by contract (one scratch, one buffer pool,
-  // one WAL cursor), so the in-memory engine's shard parallelism does not
+  // one WAL cursor), so the in-memory engine's query-parallel lanes do not
   // apply here.
   const size_t m = tables_.size();
   std::vector<BucketId> qbuckets;

@@ -150,8 +150,8 @@ class DiskC2lshIndex {
   /// (PStableFamily::BucketAllMulti, bit-identical to per-query bucketing) —
   /// but the scan/verify rounds run sequentially per query: the disk index
   /// is documented single-reader (one scratch, one WAL cursor, one buffer
-  /// pool), so unlike C2lshIndex::QueryBatch there is no shard parallelism
-  /// here. `contexts`, when non-empty, holds one (nullable) QueryContext per
+  /// pool), so unlike C2lshIndex::QueryBatch its queries do not run in
+  /// parallel. `contexts`, when non-empty, holds one (nullable) QueryContext per
   /// row with the usual per-query deadline/cancellation/budget semantics —
   /// one query expiring never perturbs its batchmates. `stats`, when
   /// non-null, is resized to one entry per query.

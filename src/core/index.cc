@@ -539,9 +539,6 @@ Result<NeighborList> C2lshIndex::RangeQuery(const Dataset& data, const float* qu
   return found;
 }
 
-// BatchQuery is defined in src/core/batch.cc as a thin wrapper over the
-// batched, shard-parallel QueryBatch engine.
-
 Result<Neighbor> C2lshIndex::DecisionQuery(const Dataset& data, const float* query,
                                            long long R, C2lshQueryStats* stats,
                                            const QueryContext* ctx) const {
@@ -549,14 +546,17 @@ Result<Neighbor> C2lshIndex::DecisionQuery(const Dataset& data, const float* que
   if (data.dim() != dim_) {
     return Status::InvalidArgument("DecisionQuery: dataset dim mismatch");
   }
+  // Frozen view, same scheme as RunQuery: count first, then pin each table.
+  const size_t n = num_objects();
+  if (data.size() < n) {
+    return Status::InvalidArgument("DecisionQuery: dataset smaller than the index");
+  }
   C2lshQueryStats local_stats;
   C2lshQueryStats* st = (stats != nullptr) ? stats : &local_stats;
   *st = C2lshQueryStats();
   st->rounds = 1;
   st->final_radius = R;
 
-  // Frozen view, same scheme as RunQuery: count first, then pin each table.
-  const size_t n = num_objects();
   std::vector<BucketTable::Snapshot> snaps;
   snaps.reserve(tables_.size());
   for (const BucketTable& table : tables_) snaps.push_back(table.snapshot());

@@ -128,16 +128,15 @@ class C2lshIndex {
 
   /// Options for QueryBatch (src/core/batch.cc).
   struct BatchQueryOptions {
-    /// Queries co-resident per execution block. Larger blocks share more
-    /// bucket-run scans but hold more per-query counter state (O(n) per
-    /// co-resident query). 0 = the whole batch in one block.
+    /// Queries per execution block; blocks run one after another, each on
+    /// min(block, pool width) query-parallel lanes. 0 = the whole batch in
+    /// one block.
     size_t batch_size = 0;
-    /// N-way table sharding inside a block: shard s owns tables i with
-    /// i % num_shards == s. 0 = min(pool threads, num_tables()). Results are
-    /// bitwise-invariant under this knob (see the determinism contract in
-    /// docs/ARCHITECTURE.md).
+    /// Ignored: kept so existing callers still compile. The pool's width is
+    /// the only control over parallelism.
     size_t num_shards = 0;
-    /// Worker pool; nullptr = ThreadPool::Shared().
+    /// Worker pool whose width sets the lane count; nullptr =
+    /// ThreadPool::Shared().
     class ThreadPool* pool = nullptr;
     /// Per-query contexts (deadline/cancellation/page budget), same contract
     /// as Query's ctx. Empty = no context for any query; otherwise must hold
@@ -146,38 +145,27 @@ class C2lshIndex {
     std::vector<const QueryContext*> contexts;
   };
 
-  /// Batched c-k-ANN over every row of `queries`: the round-synchronized
-  /// shared-scan engine (src/core/batch.cc). All co-resident queries advance
-  /// through the virtual-rehashing radii in lockstep; per round, queries
-  /// probing the same bucket run of the same table share one scan, and the
-  /// tables are sharded across the worker pool with per-shard collision
-  /// buffers merged at the round barrier. Results (and per-query stats) are
-  /// bitwise-identical to a serial loop of Query() calls for every
-  /// batch_size/num_shards/pool configuration; per-query T1/T2/exhausted/
-  /// deadline/cancelled precedence matches Query exactly. `stats`, when
-  /// non-null, is resized to one entry per query.
+  /// Batched c-k-ANN over every row of `queries` (src/core/batch.h). Each
+  /// block's queries run in parallel across the pool's lanes, every query on
+  /// the serial round loop with its own scratch and context, so results,
+  /// per-query stats and termination tags are bitwise-identical to a serial
+  /// loop of Query() calls for every batch_size/pool configuration. Safe to
+  /// call from several threads at once, on one pool or on different pools.
+  /// `stats`, when non-null, is resized to one entry per query.
   Result<std::vector<NeighborList>> QueryBatch(
       const Dataset& data, const FloatMatrix& queries, size_t k,
       const BatchQueryOptions& options,
       std::vector<C2lshQueryStats>* stats = nullptr) const;
 
   /// QueryBatch with default options (whole batch in one block, shared pool,
-  /// pool-width sharding, no per-query contexts). An overload rather than a
-  /// default argument: a nested struct's member initializers are only parsed
-  /// at the end of the enclosing class, so `= {}` is ill-formed here.
+  /// no per-query contexts). An overload rather than a default argument: a
+  /// nested struct's member initializers are only parsed at the end of the
+  /// enclosing class, so `= {}` is ill-formed here.
   Result<std::vector<NeighborList>> QueryBatch(const Dataset& data,
                                                const FloatMatrix& queries,
                                                size_t k) const {
     return QueryBatch(data, queries, k, BatchQueryOptions());
   }
-
-  /// Convenience wrapper over QueryBatch: runs one query per row of
-  /// `queries` on the shared worker pool. `num_threads` bounds the table
-  /// sharding (0 = pool width); results are identical for every value.
-  /// Returns one NeighborList per query row, in order.
-  Result<std::vector<NeighborList>> BatchQuery(const Dataset& data,
-                                               const FloatMatrix& queries, size_t k,
-                                               size_t num_threads = 0) const;
 
   /// Filtered c-k-ANN: like Query, but only objects for which
   /// `filter(id)` returns true may be verified or returned (predicate

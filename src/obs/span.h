@@ -58,7 +58,7 @@ namespace obs {
 enum class SpanSubsystem : uint8_t {
   kQuery = 0,       ///< whole-query spans (C2lshIndex / DiskC2lshIndex)
   kRound = 1,       ///< one virtual-rehashing round (radius step)
-  kBatch = 2,       ///< batched engine blocks, phases, and shard scans
+  kBatch = 2,       ///< QueryBatch execution blocks
   kBufferPool = 3,  ///< page-cache hit/miss/writeback
   kPageFile = 4,    ///< page read/write/sync I/O
   kWal = 5,         ///< write-ahead log append/replay/sync

@@ -1,18 +1,22 @@
 // The batch engine's determinism contract (src/core/batch.h): QueryBatch is
 // bitwise-identical to a serial loop of Query() calls — results AND stats —
-// for every batch_size / num_shards / pool configuration, in both index
-// modes; and per-query contexts are honored without perturbing batchmates.
-// Runs in the race lane (TSan) so the shard/merge phases are also checked
-// for data races, and in the batch lane against both ISA dispatch modes.
+// for every batch_size / pool configuration (num_shards is ignored), in both
+// index modes; and per-query contexts are honored without perturbing
+// batchmates. Runs in the race lane (TSan) so the query-parallel lanes and
+// concurrent callers are also checked for data races, and in the batch lane
+// against both ISA dispatch modes.
 
 #include <filesystem>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "src/core/batch.h"
 #include "src/core/disk_index.h"
 #include "src/core/index.h"
+#include "src/obs/registry.h"
 #include "src/util/query_context.h"
+#include "src/util/thread_annotations.h"
 #include "src/util/thread_pool.h"
 #include "src/vector/synthetic.h"
 
@@ -210,6 +214,68 @@ TEST(BatchEngineTest, ValidationMatchesSerialContract) {
   opts.contexts.assign(2, nullptr);  // wrong length
   EXPECT_TRUE(
       w.index.QueryBatch(w.data, w.queries, 5, opts).status().IsInvalidArgument());
+}
+
+uint64_t CounterOrZero(const char* name) {
+  const obs::Counter* c = obs::MetricsRegistry::Global().FindCounter(name);
+  return c != nullptr ? c->value() : 0;
+}
+
+TEST(BatchEngineTest, EachBatchedQueryFlushesExactlyOnce) {
+  BatchWorld w = MakeBatchWorld();
+  const size_t nq = w.queries.num_rows();
+  ThreadPool pool(2);
+  C2lshIndex::BatchQueryOptions opts;
+  opts.batch_size = 5;  // several blocks, the last one partial
+  opts.pool = &pool;
+  const uint64_t queries_before = CounterOrZero("c2lsh_queries_total");
+  const uint64_t batch_before = CounterOrZero("c2lsh_batch_queries_total");
+  const uint64_t blocks_before = CounterOrZero("c2lsh_batch_blocks_total");
+  auto batch = w.index.QueryBatch(w.data, w.queries, 10, opts);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(CounterOrZero("c2lsh_queries_total") - queries_before, nq);
+  EXPECT_EQ(CounterOrZero("c2lsh_batch_queries_total") - batch_before, nq);
+  EXPECT_EQ(CounterOrZero("c2lsh_batch_blocks_total") - blocks_before,
+            (nq + opts.batch_size - 1) / opts.batch_size);
+}
+
+TEST(BatchEngineTest, ConcurrentCallersOnTheSharedPoolMatchSerialLoop) {
+  BatchWorld w = MakeBatchWorld();
+  const size_t k = 6;
+  const size_t nq = w.queries.num_rows();
+  std::vector<NeighborList> serial;
+  std::vector<C2lshQueryStats> serial_stats(nq);
+  for (size_t q = 0; q < nq; ++q) {
+    auto r = w.index.Query(w.data, w.queries.row(q), k, &serial_stats[q]);
+    ASSERT_TRUE(r.ok());
+    serial.push_back(std::move(r).value());
+  }
+  // Two callers share ThreadPool::Shared() (the default pool) and the
+  // index; each keeps its own options and output slots.
+  constexpr size_t kCallers = 2;
+  std::vector<std::vector<NeighborList>> got(kCallers);
+  std::vector<std::vector<C2lshQueryStats>> got_stats(kCallers);
+  bool ok[kCallers] = {false, false};  // not vector<bool>: its bits share words
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      C2lshIndex::BatchQueryOptions opts;
+      opts.batch_size = t == 0 ? 0 : 7;
+      auto r = w.index.QueryBatch(w.data, w.queries, k, opts, &got_stats[t]);
+      ok[t] = r.ok();
+      if (r.ok()) got[t] = std::move(r).value();
+    });
+  }
+  for (std::thread& th : callers) th.join();
+  for (size_t t = 0; t < kCallers; ++t) {
+    const std::string label = "caller=" + std::to_string(t);
+    ASSERT_TRUE(ok[t]) << label;
+    ExpectResultsBitwiseEqual(got[t], serial, label);
+    ASSERT_EQ(got_stats[t].size(), nq) << label;
+    for (size_t q = 0; q < nq; ++q) {
+      ExpectStatsEqual(got_stats[t][q], serial_stats[q], label + " q=" + std::to_string(q));
+    }
+  }
 }
 
 class DiskBatchTest : public ::testing::Test {

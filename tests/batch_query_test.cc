@@ -1,6 +1,6 @@
-// Concurrency tests: Searcher-based parallel queries must match the serial
-// answers exactly (the index is immutable during queries; only scratch is
-// per-thread).
+// Concurrency tests: QueryBatch and Searcher-based parallel queries must
+// match the serial answers exactly (the index is immutable during queries;
+// only scratch is per-thread).
 
 #include <thread>
 
@@ -8,6 +8,7 @@
 
 #include "src/core/index.h"
 #include "src/util/thread_annotations.h"
+#include "src/util/thread_pool.h"
 #include "src/vector/synthetic.h"
 
 namespace c2lsh {
@@ -38,7 +39,10 @@ TEST(BatchQueryTest, MatchesSerialQueries) {
     ASSERT_TRUE(r.ok());
     serial.push_back(std::move(r).value());
   }
-  auto batch = w.index.BatchQuery(w.data, w.queries, 10, 4);
+  ThreadPool pool(4);
+  C2lshIndex::BatchQueryOptions opts;
+  opts.pool = &pool;
+  auto batch = w.index.QueryBatch(w.data, w.queries, 10, opts);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->size(), serial.size());
   for (size_t q = 0; q < serial.size(); ++q) {
@@ -52,7 +56,10 @@ TEST(BatchQueryTest, MatchesSerialQueries) {
 
 TEST(BatchQueryTest, SingleThreadPath) {
   BatchWorld w = MakeBatchWorld();
-  auto batch = w.index.BatchQuery(w.data, w.queries, 5, 1);
+  ThreadPool pool(1);
+  C2lshIndex::BatchQueryOptions opts;
+  opts.pool = &pool;
+  auto batch = w.index.QueryBatch(w.data, w.queries, 5, opts);
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch->size(), w.queries.num_rows());
 }
@@ -61,12 +68,12 @@ TEST(BatchQueryTest, DimMismatchRejected) {
   BatchWorld w = MakeBatchWorld();
   auto wrong = FloatMatrix::Create(3, w.data.dim() + 1);
   ASSERT_TRUE(wrong.ok());
-  EXPECT_TRUE(w.index.BatchQuery(w.data, wrong.value(), 5).status().IsInvalidArgument());
+  EXPECT_TRUE(w.index.QueryBatch(w.data, wrong.value(), 5).status().IsInvalidArgument());
 }
 
 TEST(BatchQueryTest, PropagatesQueryErrors) {
   BatchWorld w = MakeBatchWorld();
-  EXPECT_TRUE(w.index.BatchQuery(w.data, w.queries, 0).status().IsInvalidArgument());
+  EXPECT_TRUE(w.index.QueryBatch(w.data, w.queries, 0).status().IsInvalidArgument());
 }
 
 TEST(BatchQueryTest, ManualSearchersRunConcurrently) {

@@ -1,6 +1,7 @@
 #include "src/core/index.h"
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -557,6 +558,26 @@ TEST(C2lshIndexTest, SmallerDatasetThanIndexRejected) {
   auto tiny = MakeProfileDataset(DatasetProfile::kColor, 100, 1, 23);
   ASSERT_TRUE(tiny.ok());
   EXPECT_TRUE(index->Query(tiny->data, world.queries.row(0), 1)
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST(C2lshIndexTest, DecisionQueryRejectsDatasetOneRowShort) {
+  TestWorld world = MakeWorld(500, 1, 1, 24);
+  auto index = C2lshIndex::Build(world.data, SmallOptions());
+  ASSERT_TRUE(index.ok());
+  const size_t rows = world.data.size() - 1;
+  auto vectors = FloatMatrix::Create(rows, world.data.dim());
+  ASSERT_TRUE(vectors.ok());
+  for (size_t i = 0; i < rows; ++i) {
+    std::memcpy(vectors->mutable_row(i), world.data.object(i),
+                world.data.dim() * sizeof(float));
+  }
+  auto short_data = Dataset::Create("one_row_short", std::move(vectors).value());
+  ASSERT_TRUE(short_data.ok());
+  // A radius wide enough that every id, the missing last row included, is
+  // frequent: without the size check the round would read past the dataset.
+  EXPECT_TRUE(index->DecisionQuery(*short_data, world.queries.row(0), 1LL << 20)
                   .status()
                   .IsInvalidArgument());
 }

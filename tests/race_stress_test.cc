@@ -24,6 +24,7 @@
 #include "src/storage/buffer_pool.h"
 #include "src/storage/page_file.h"
 #include "src/util/mutex.h"
+#include "src/util/thread_pool.h"
 #include "src/vector/synthetic.h"
 
 namespace c2lsh {
@@ -117,7 +118,10 @@ TEST(RaceStressTest, BatchQueryMatchesSerial) {
   auto index = C2lshIndex::Build(pd->data, SmallOptions());
   ASSERT_TRUE(index.ok());
 
-  auto batch = index->BatchQuery(pd->data, pd->queries, 8, /*num_threads=*/4);
+  ThreadPool pool(4);
+  C2lshIndex::BatchQueryOptions opts;
+  opts.pool = &pool;
+  auto batch = index->QueryBatch(pd->data, pd->queries, 8, opts);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->size(), pd->queries.num_rows());
   for (size_t q = 0; q < pd->queries.num_rows(); ++q) {

@@ -20,9 +20,11 @@
 #             replay, and mutate/build equivalence (the concurrent-mutation
 #             tests also run under TSan via the race label)
 #   batch     ctest -L batch under -DC2LSH_SANITIZE=thread in both ISA
-#             dispatch modes (shares the tsan tree) — the batched/sharded
-#             QueryBatch engine's bitwise-determinism and thread-pool suite;
-#             the same tests also run unsanitized in the default lane
+#             dispatch modes (shares the tsan tree) — QueryBatch's
+#             query-parallel lanes, their bitwise-determinism against the
+#             serial loop, concurrent callers on one pool, and the
+#             thread-pool suite; the same tests also run unsanitized in
+#             the default lane
 #   trace     ctest -L trace under -DC2LSH_SANITIZE=thread in both ISA
 #             dispatch modes (shares the tsan tree) — the span-tracing ring
 #             buffers and flight recorder under concurrent churn; the same
