@@ -3,7 +3,10 @@
 // Sweeps QueryBatch's batch_size x pool-width grid over the paper's
 // in-memory profiles (the F3 workload) and reports aggregate throughput
 // (queries/sec), the speedup over a serial loop of Query() calls, and the
-// per-query latency percentiles (p50/p95/p99). Both latency columns come
+// per-query latency percentiles (p50/p95/p99). Every rep of every cell times
+// the serial loop right before its batched run and the cell's speedup is
+// best serial over best batched of those reps, so host drift over the sweep
+// moves both sides of a ratio alike instead of reading as speedup. Both latency columns come
 // from exact per-call samples: a serial query's latency is its own Query()
 // call, a batched query's is the QueryBatch() call over its block (the bench
 // submits one block per call, and a caller gets every answer of a block when
@@ -12,9 +15,9 @@
 // plus bookkeeping, and wider pools add one lane per thread.
 // --metrics_out writes the whole sweep as JSON (BENCH_batch.json in CI)
 // with the machine it ran on, a `speedup_batch32` summary per profile, the
-// workload-level `aggregate_speedup_batch32` (total serial time over total
-// best batched time at batch >= 32, across every profile) and the same
-// aggregate per pool width, `aggregate_speedup_batch32_by_pool`. The
+// workload-level `aggregate_speedup_batch32` (over every profile's fastest
+// batch >= 32 cell: total paired serial time over total batched time) and
+// the same aggregate per pool width, `aggregate_speedup_batch32_by_pool`. The
 // acceptance bar is aggregate >= 2x at batch >= 32 on the F3 workload;
 // EXPERIMENTS.md (F8) records how it stands at each pool width.
 //
@@ -53,20 +56,45 @@ struct RunRow {
   size_t batch_size = 0;   // 0 = whole batch in one block
   size_t pool_threads = 0;
   double millis = 0.0;     // best-of-reps wall time for the whole batch
+  double serial_millis = 0.0;  // best-of-reps serial loop, interleaved with them
   double qps = 0.0;
-  double speedup = 0.0;    // vs the serial Query() loop
+  double speedup = 0.0;    // serial_millis / millis
   double p50 = 0.0, p95 = 0.0, p99 = 0.0;
 };
 
 struct ProfileRows {
   std::string name;
   size_t n = 0, dim = 0, nq = 0;
-  double serial_millis = 0.0, serial_qps = 0.0;
+  double serial_millis = 0.0, serial_qps = 0.0;  // best serial loop of the sweep
   double serial_p50 = 0.0, serial_p95 = 0.0, serial_p99 = 0.0;
   double speedup_batch32 = 0.0;  // best speedup among batch_size >= 32 runs
-  double best_batch32_millis = 0.0;  // fastest batch_size >= 32 run
   std::vector<RunRow> runs;
 };
+
+/// The fastest batch >= 32 cell of `p` on a pool of `width` threads (0 =
+/// any width), or nullptr.
+const RunRow* FastestBatch32(const ProfileRows& p, size_t width) {
+  const RunRow* best = nullptr;
+  for (const RunRow& r : p.runs) {
+    const size_t block = r.batch_size == 0 ? p.nq : r.batch_size;
+    if (block < 32 || (width != 0 && r.pool_threads != width)) continue;
+    if (best == nullptr || r.millis < best->millis) best = &r;
+  }
+  return best;
+}
+
+/// Paired serial time over batched time, summed over every profile's
+/// fastest batch >= 32 cell on pools of `width` threads (0 = any).
+double AggregateSpeedup(const std::vector<ProfileRows>& all, size_t width) {
+  double serial = 0.0, batched = 0.0;
+  for (const ProfileRows& p : all) {
+    if (const RunRow* r = FastestBatch32(p, width)) {
+      serial += r->serial_millis;
+      batched += r->millis;
+    }
+  }
+  return batched > 0.0 ? serial / batched : 0.0;
+}
 
 void AppendJson(std::string* out, const ProfileRows& p) {
   char buf[256];
@@ -89,10 +117,11 @@ void AppendJson(std::string* out, const ProfileRows& p) {
     const RunRow& r = p.runs[i];
     std::snprintf(buf, sizeof(buf),
                   "      {\"batch_size\": %zu, \"pool_threads\": %zu, "
-                  "\"millis\": %.3f, \"qps\": %.1f, \"speedup\": %.3f, "
-                  "\"p50\": %.4f, \"p95\": %.4f, \"p99\": %.4f}%s\n",
-                  r.batch_size, r.pool_threads, r.millis, r.qps, r.speedup,
-                  r.p50, r.p95, r.p99, i + 1 < p.runs.size() ? "," : "");
+                  "\"millis\": %.3f, \"serial_millis\": %.3f, \"qps\": %.1f, "
+                  "\"speedup\": %.3f, \"p50\": %.4f, \"p95\": %.4f, "
+                  "\"p99\": %.4f}%s\n",
+                  r.batch_size, r.pool_threads, r.millis, r.serial_millis, r.qps,
+                  r.speedup, r.p50, r.p95, r.p99, i + 1 < p.runs.size() ? "," : "");
     *out += buf;
   }
   *out += "     ]}";
@@ -135,10 +164,10 @@ int Run(int argc, char** argv) {
     rows.dim = pd->data.dim();
     rows.nq = pd->queries.num_rows();
 
-    // Serial baseline: the exact loop QueryBatch replaces.
+    // Serial baseline: the exact loop QueryBatch replaces. Returns the
+    // loop's wall time; per_query_millis keeps the last loop's samples.
     std::vector<double> per_query_millis(rows.nq, 0.0);
-    double serial_best = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
+    auto time_serial_loop = [&]() {
       Timer loop_timer;
       for (size_t q = 0; q < rows.nq; ++q) {
         Timer qt;
@@ -147,13 +176,9 @@ int Run(int argc, char** argv) {
         per_query_millis[q] = qt.ElapsedMillis();
       }
       const double t = loop_timer.ElapsedMillis();
-      if (rep == 0 || t < serial_best) serial_best = t;
-    }
-    rows.serial_millis = serial_best;
-    rows.serial_qps = 1e3 * static_cast<double>(rows.nq) / serial_best;
-    rows.serial_p50 = SamplePercentile(per_query_millis, 0.50);
-    rows.serial_p95 = SamplePercentile(per_query_millis, 0.95);
-    rows.serial_p99 = SamplePercentile(per_query_millis, 0.99);
+      if (rows.serial_millis == 0.0 || t < rows.serial_millis) rows.serial_millis = t;
+      return t;
+    };
 
     for (size_t batch : batch_sizes) {
       // The query set cut into blocks of `batch` rows, one QueryBatch call
@@ -178,6 +203,8 @@ int Run(int argc, char** argv) {
         row.pool_threads = pool->num_threads();
         std::vector<double> batch_query_millis;  // final rep, one per query
         for (int rep = 0; rep < reps; ++rep) {
+          const double serial = time_serial_loop();
+          if (rep == 0 || serial < row.serial_millis) row.serial_millis = serial;
           batch_query_millis.clear();
           double millis = 0.0;
           for (const FloatMatrix& b : blocks) {
@@ -192,31 +219,33 @@ int Run(int argc, char** argv) {
           if (rep == 0 || millis < row.millis) row.millis = millis;
         }
         row.qps = 1e3 * static_cast<double>(rows.nq) / row.millis;
-        row.speedup = serial_best / row.millis;
+        row.speedup = row.serial_millis / row.millis;
         row.p50 = SamplePercentile(batch_query_millis, 0.50);
         row.p95 = SamplePercentile(batch_query_millis, 0.95);
         row.p99 = SamplePercentile(batch_query_millis, 0.99);
         if (block >= 32) {
           rows.speedup_batch32 = std::max(rows.speedup_batch32, row.speedup);
-          if (rows.best_batch32_millis == 0.0 ||
-              row.millis < rows.best_batch32_millis) {
-            rows.best_batch32_millis = row.millis;
-          }
         }
         rows.runs.push_back(row);
       }
     }
+    rows.serial_qps = 1e3 * static_cast<double>(rows.nq) / rows.serial_millis;
+    rows.serial_p50 = SamplePercentile(per_query_millis, 0.50);
+    rows.serial_p95 = SamplePercentile(per_query_millis, 0.95);
+    rows.serial_p99 = SamplePercentile(per_query_millis, 0.99);
 
     std::printf("\n[%s]  n=%zu  d=%zu  queries=%zu  k=%zu\n", rows.name.c_str(),
                 rows.n, rows.dim, rows.nq, k);
-    std::printf("serial loop: %.1f ms  (%.1f q/s)  p50=%.3f p95=%.3f p99=%.3f\n",
+    std::printf("serial loop (best of the sweep): %.1f ms  (%.1f q/s)  p50=%.3f "
+                "p95=%.3f p99=%.3f\n",
                 rows.serial_millis, rows.serial_qps, rows.serial_p50,
                 rows.serial_p95, rows.serial_p99);
-    TablePrinter table({"batch", "pool", "ms", "q/s", "speedup", "p50",
+    TablePrinter table({"batch", "pool", "ms", "serial ms", "q/s", "speedup", "p50",
                         "p95", "p99"});
     for (const RunRow& r : rows.runs) {
       table.AddRow({r.batch_size == 0 ? "all" : std::to_string(r.batch_size),
                     std::to_string(r.pool_threads), TablePrinter::Fmt(r.millis, 1),
+                    TablePrinter::Fmt(r.serial_millis, 1),
                     TablePrinter::Fmt(r.qps, 1), TablePrinter::Fmt(r.speedup, 2),
                     TablePrinter::Fmt(r.p50, 3), TablePrinter::Fmt(r.p95, 3),
                     TablePrinter::Fmt(r.p99, 3)});
@@ -226,37 +255,18 @@ int Run(int argc, char** argv) {
     all.push_back(std::move(rows));
   }
 
-  // Workload-level aggregate: total serial time over total best batched
-  // time at batch >= 32, across all profiles — over every pool, then per
-  // pool width.
-  double serial_total = 0.0, batch32_total = 0.0;
-  for (const ProfileRows& p : all) {
-    serial_total += p.serial_millis;
-    batch32_total += p.best_batch32_millis;
-  }
-  const double aggregate =
-      batch32_total > 0.0 ? serial_total / batch32_total : 0.0;
-  std::printf(
-      "\naggregate speedup at batch >= 32 (whole F3 workload): %.2fx "
-      "(serial %.1f ms -> batched %.1f ms)\n",
-      aggregate, serial_total, batch32_total);
+  // Workload-level aggregate over each profile's fastest batch >= 32 cell —
+  // over every pool, then per pool width.
+  const double aggregate = AggregateSpeedup(all, /*width=*/0);
+  std::printf("\naggregate speedup at batch >= 32 (whole F3 workload): %.2fx\n",
+              aggregate);
   std::string by_pool;  // JSON members "width": speedup
   size_t last_width = 0;
   for (const std::unique_ptr<ThreadPool>& pool : pools) {
     const size_t width = pool->num_threads();
     if (width == last_width) continue;  // a clamped pool repeats the last one
     last_width = width;
-    double pool_total = 0.0;
-    for (const ProfileRows& p : all) {
-      double best = 0.0;
-      for (const RunRow& r : p.runs) {
-        const size_t block = r.batch_size == 0 ? p.nq : r.batch_size;
-        if (r.pool_threads != width || block < 32) continue;
-        if (best == 0.0 || r.millis < best) best = r.millis;
-      }
-      pool_total += best;
-    }
-    const double speedup = pool_total > 0.0 ? serial_total / pool_total : 0.0;
+    const double speedup = AggregateSpeedup(all, width);
     std::printf("  pool width %zu: %.2fx\n", width, speedup);
     char entry[64];
     std::snprintf(entry, sizeof(entry), "%s\"%zu\": %.3f", by_pool.empty() ? "" : ", ",

@@ -9,7 +9,7 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "make_seeds failed (${rc})")
 endif()
 
-foreach(pair "${WAL};wal" "${PAGE};page" "${SER};serialize")
+foreach(pair "${WAL};wal" "${PAGE};page" "${INDEX};index")
   list(GET pair 0 bin)
   list(GET pair 1 sub)
   execute_process(

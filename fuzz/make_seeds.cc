@@ -2,11 +2,11 @@
 //
 //   make_seeds <corpus-root>
 //
-// produces <root>/wal/*, <root>/page/*, <root>/serialize/* using the real
-// writers (WriteAheadLog, PageFile, SaveIndex), so every seed starts from a
-// format-correct file — the mutation engine then tears, flips, and splices
-// from there. Each target also gets a deliberately truncated variant, since
-// truncation is the crash case these parsers were built for and blind
+// produces <root>/wal/*, <root>/page/*, <root>/index/* using the real
+// writers (WriteAheadLog, PageFile, DiskC2lshIndex), so every seed starts
+// from a format-correct file — the mutation engine then tears, flips, and
+// splices from there. Each target also gets a deliberately truncated variant,
+// since truncation is the crash case these parsers were built for and blind
 // mutation reaches mid-file truncations only slowly.
 //
 // Regenerated by the check.sh fuzz lane on every run (cheap, deterministic),
@@ -19,8 +19,8 @@
 #include <string>
 #include <vector>
 
-#include "src/core/index.h"
-#include "src/core/serialize.h"
+#include "fuzz/mem_env.h"
+#include "src/core/disk_index.h"
 #include "src/storage/page_file.h"
 #include "src/storage/wal.h"
 #include "src/vector/dataset.h"
@@ -96,26 +96,65 @@ int MakePageSeeds(const fs::path& dir) {
   return 0;
 }
 
-int MakeSerializeSeeds(const fs::path& dir) {
+// The bytes of `path` in `env`.
+std::vector<uint8_t> FileBytes(c2lsh::Env* env, const std::string& path) {
+  std::vector<uint8_t> bytes;
+  auto f = env->OpenFile(path);
+  if (!f.ok()) return bytes;
+  auto size = f.value()->Size();
+  if (!size.ok()) return bytes;
+  bytes.resize(size.value());
+  size_t got = 0;
+  if (!f.value()->ReadAt(0, bytes.data(), bytes.size(), &got).ok()) got = 0;
+  bytes.resize(got);
+  return bytes;
+}
+
+// Writes one index_open_fuzz input: [u64 page-file length][page file][WAL].
+void WriteIndexSeed(c2lsh::Env* env, const std::string& path, const fs::path& dst) {
+  const std::vector<uint8_t> file = FileBytes(env, path);
+  const std::vector<uint8_t> wal = FileBytes(env, path + ".wal");
+  const uint64_t len = file.size();
+  std::ofstream out(dst, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(&len), sizeof(len));
+  out.write(reinterpret_cast<const char*>(file.data()),
+            static_cast<std::streamsize>(file.size()));
+  out.write(reinterpret_cast<const char*>(wal.data()),
+            static_cast<std::streamsize>(wal.size()));
+}
+
+// Two small index files: one compacted (empty WAL), one with an uncompacted
+// WAL tail of inserts and deletes that Open replays into the overlays.
+int MakeIndexSeeds(const fs::path& dir) {
   std::vector<float> coords;
-  for (int i = 0; i < 8 * 4; ++i) {
+  for (int i = 0; i < 10 * 4; ++i) {
     coords.push_back(static_cast<float>(i % 7) - 3.0f);
   }
-  auto mat = c2lsh::FloatMatrix::FromVector(8, 4, std::move(coords));
+  auto mat = c2lsh::FloatMatrix::FromVector(10, 4, std::move(coords));
   if (!mat.ok()) return Die("matrix", mat.status());
   auto data = c2lsh::Dataset::Create("seed", std::move(mat).value());
   if (!data.ok()) return Die("dataset", data.status());
   c2lsh::C2lshOptions options;
   options.w = 4.0;
-  auto index = c2lsh::C2lshIndex::Build(data.value(), options, /*num_threads=*/1);
-  if (!index.ok()) return Die("build", index.status());
+  options.page_bytes = 256;  // small pages keep each seed a few KiB
 
-  const std::string path = (dir / "seed_index").string();
-  if (Status s = c2lsh::SaveIndex(path, &index.value()); !s.ok()) {
-    return Die("save", s);
+  c2lsh::fuzz::MemEnv env;
+  for (const bool compact : {true, false}) {
+    auto index = c2lsh::DiskC2lshIndex::Build(data.value(), options, "index",
+                                              /*pool_pages=*/16,
+                                              /*store_vectors=*/false, &env);
+    if (!index.ok()) return Die("build", index.status());
+    if (Status s = index->Insert(10, data->object(3)); !s.ok()) return Die("insert", s);
+    if (Status s = index->Delete(2); !s.ok()) return Die("delete", s);
+    if (Status s = index->Delete(10); !s.ok()) return Die("delete", s);
+    if (compact) {
+      if (Status s = index->Compact(); !s.ok()) return Die("compact", s);
+    }
+    WriteIndexSeed(&env, "index", dir / (compact ? "seed_compacted" : "seed_wal_tail"));
   }
-  WriteTruncated(path, dir / "seed_truncated", fs::file_size(path) / 2);
-  WriteTruncated(path, dir / "seed_no_crc", fs::file_size(path) - 4);
+  const fs::path tail = dir / "seed_wal_tail";
+  WriteTruncated(tail, dir / "seed_wal_torn", fs::file_size(tail) - 3);
+  WriteTruncated(tail, dir / "seed_truncated", fs::file_size(tail) / 2);
   return 0;
 }
 
@@ -127,7 +166,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const fs::path root = argv[1];
-  for (const char* sub : {"wal", "page", "serialize"}) {
+  for (const char* sub : {"wal", "page", "index"}) {
     std::error_code ec;
     fs::create_directories(root / sub, ec);
     if (ec) {
@@ -138,7 +177,7 @@ int main(int argc, char** argv) {
   }
   if (int rc = MakeWalSeeds(root / "wal"); rc != 0) return rc;
   if (int rc = MakePageSeeds(root / "page"); rc != 0) return rc;
-  if (int rc = MakeSerializeSeeds(root / "serialize"); rc != 0) return rc;
+  if (int rc = MakeIndexSeeds(root / "index"); rc != 0) return rc;
   std::printf("seed corpora written under %s\n", root.string().c_str());
   return 0;
 }

@@ -196,12 +196,7 @@ Result<DiskC2lshIndex> DiskC2lshIndex::Build(const Dataset& data,
                                              const std::string& path,
                                              size_t pool_pages, bool store_vectors,
                                              Env* env) {
-  C2LSH_ASSIGN_OR_RETURN(C2lshDerived derived, ComputeDerivedParams(options, data.size()));
-  const long long radius_cap = RadiusCap(options.c, options.max_radius_exponent);
-  C2LSH_ASSIGN_OR_RETURN(
-      PStableFamily family,
-      PStableFamily::Sample(derived.m, data.dim(), options.w, options.seed,
-                            static_cast<double>(radius_cap)));
+  C2LSH_ASSIGN_OR_RETURN(BuildRecipe recipe, BuildRecipe::Make(data, options));
 
   DiskC2lshIndex index;
   C2LSH_ASSIGN_OR_RETURN(PageFile file,
@@ -247,16 +242,11 @@ Result<DiskC2lshIndex> DiskC2lshIndex::Build(const Dataset& data,
 
   // Tables.
   std::vector<PageId> roots;
-  roots.reserve(derived.m);
-  for (size_t i = 0; i < derived.m; ++i) {
-    const std::vector<BucketId> buckets = family.BucketColumn(data.vectors(), i);
-    std::vector<std::pair<BucketId, ObjectId>> pairs;
-    pairs.reserve(buckets.size());
-    for (size_t r = 0; r < buckets.size(); ++r) {
-      pairs.emplace_back(buckets[r], static_cast<ObjectId>(r));
-    }
-    C2LSH_ASSIGN_OR_RETURN(DiskBucketTable table,
-                           DiskBucketTable::Build(index.pool_.get(), std::move(pairs)));
+  roots.reserve(recipe.derived.m);
+  for (size_t i = 0; i < recipe.derived.m; ++i) {
+    C2LSH_ASSIGN_OR_RETURN(
+        DiskBucketTable table,
+        DiskBucketTable::Build(index.pool_.get(), recipe.TablePairs(data, i)));
     roots.push_back(table.root());
     index.tables_.push_back(std::move(table));
   }
@@ -269,9 +259,9 @@ Result<DiskC2lshIndex> DiskC2lshIndex::Build(const Dataset& data,
   // publish comment there).
   C2LSH_ASSIGN_OR_RETURN(
       PageId meta_root,
-      WriteMetaBlob(index.pool_.get(), options, derived, data.size(), data.dim(),
-                    radius_cap, index.first_data_page_, /*applied_lsn=*/0,
-                    /*stored_objects=*/data.size(), family, roots));
+      WriteMetaBlob(index.pool_.get(), options, recipe.derived, data.size(), data.dim(),
+                    recipe.radius_cap, index.first_data_page_, /*applied_lsn=*/0,
+                    /*stored_objects=*/data.size(), recipe.family, roots));
   C2LSH_RETURN_IF_ERROR(WriteSuperblock(index.pool_.get(), meta_root));
   index.file_->SetUserRoot(meta_root);
   C2LSH_RETURN_IF_ERROR(index.pool_->FlushAll());
@@ -288,12 +278,12 @@ Result<DiskC2lshIndex> DiskC2lshIndex::Build(const Dataset& data,
   index.wal_ = std::make_unique<WriteAheadLog>(std::move(wal));
 
   index.options_ = options;
-  index.derived_ = derived;
+  index.derived_ = recipe.derived;
   index.num_objects_ = data.size();
   index.stored_objects_ = data.size();
   index.dim_ = data.dim();
-  index.radius_cap_ = radius_cap;
-  index.family_ = std::make_unique<PStableFamily>(std::move(family));
+  index.radius_cap_ = recipe.radius_cap;
+  index.family_ = std::make_unique<PStableFamily>(std::move(recipe.family));
   index.pool_->ResetStats();
   return index;
 }
@@ -340,6 +330,16 @@ Result<DiskC2lshIndex> DiskC2lshIndex::Open(const std::string& path, size_t pool
   if (!ok) {
     return Status::Corruption("DiskC2lshIndex: bad meta blob in '" + path + "'");
   }
+  // The page CRCs prove the blob is what a writer wrote, not that its counts
+  // are sane: bound m and dim by the bytes left (each function takes dim
+  // floats, b, w and its table root) before anything is allocated from them.
+  if (m64 == 0 || dim64 == 0 || dim64 > r.remaining() / sizeof(float) ||
+      m64 > r.remaining() / (dim64 * sizeof(float) + 2 * sizeof(double) +
+                             sizeof(PageId)) ||
+      index.radius_cap_ < 1) {
+    return Status::Corruption("DiskC2lshIndex: meta blob in '" + path + "' claims m = " +
+                              std::to_string(m64) + ", dim = " + std::to_string(dim64));
+  }
   index.options_.page_bytes = static_cast<size_t>(page_bytes);
   index.derived_.m = static_cast<size_t>(m64);
   index.derived_.l = static_cast<size_t>(l64);
@@ -357,21 +357,40 @@ Result<DiskC2lshIndex> DiskC2lshIndex::Open(const std::string& path, size_t pool
     if (!r.GetArray(a.data(), a.size()) || !r.Get(&b) || !r.Get(&w)) {
       return Status::Corruption("DiskC2lshIndex: truncated hash functions");
     }
+    if (!std::isfinite(b) || !std::isfinite(w) || w <= 0 ||
+        !std::all_of(a.begin(), a.end(), [](float x) { return std::isfinite(x); })) {
+      return Status::Corruption("DiskC2lshIndex: hash function " + std::to_string(i) +
+                                " has a non-finite or non-positive parameter");
+    }
     C2LSH_ASSIGN_OR_RETURN(PStableHash h, PStableHash::FromParts(std::move(a), b, w));
     funcs.push_back(std::move(h));
   }
-  C2LSH_ASSIGN_OR_RETURN(PStableFamily family,
-                         PStableFamily::FromFunctions(std::move(funcs)));
-  index.family_ = std::make_unique<PStableFamily>(std::move(family));
+  Result<PStableFamily> family = PStableFamily::FromFunctions(std::move(funcs));
+  if (!family.ok()) {
+    return Status::Corruption("DiskC2lshIndex: hash functions of '" + path +
+                              "': " + std::string(family.status().message()));
+  }
+  index.family_ = std::make_unique<PStableFamily>(std::move(family).value());
 
   std::vector<PageId> roots(index.derived_.m);
   if (!r.GetArray(roots.data(), roots.size()) || !r.exhausted()) {
     return Status::Corruption("DiskC2lshIndex: truncated table roots");
   }
+  // Build gives every table its own entry run, so the runs together fit in
+  // the file. Checking that bounds what materializing the tables (Compact,
+  // C2lshIndex::Open) allocates by the file's size, even when roots repeat.
+  uint64_t total_entries = 0;
   for (PageId root : roots) {
     C2LSH_ASSIGN_OR_RETURN(DiskBucketTable table,
                            DiskBucketTable::Load(index.pool_.get(), root));
+    total_entries += table.num_entries();
     index.tables_.push_back(std::move(table));
+  }
+  const uint64_t file_entries =
+      index.pool_->num_pages() * (index.pool_->page_bytes() / sizeof(ObjectId));
+  if (total_entries > file_entries) {
+    return Status::Corruption("DiskC2lshIndex: tables of '" + path + "' claim " +
+                              std::to_string(total_entries) + " entries");
   }
 
   // Recovery: replay every acknowledged mutation the base image has not yet

@@ -2,11 +2,19 @@
 // hash tables resident in a PageFile, queried through an LRU BufferPool
 // whose misses ARE the I/O cost (no simulation).
 //
+// Its file is the library's one index file, with two residencies: this
+// class queries it in place, and C2lshIndex::Open (core/index.h) reads it
+// through this class's Open — the only parser of the meta blob — and
+// materializes every table in memory. Build here is how any index is saved.
+//
 // File layout (one PageFile):
 //   page 0   PageFile header
 //   page 1   superblock: [meta blob root: u64]
+//   ...      data segment (store_vectors only): the raw vectors
 //   ...      per-table entry pages + directory blobs (DiskBucketTable)
 //   ...      meta blob: options, derived params, hash functions, table roots
+//   <path>.wal beside it: the write-ahead log of mutations since the last
+//            compaction
 //
 // The query algorithm is identical to C2lshIndex (incremental virtual
 // rehashing, T1/T2 termination); candidate vectors live with the caller's
@@ -175,6 +183,9 @@ class DiskC2lshIndex {
   size_t num_objects() const { return num_objects_; }
   size_t dim() const { return dim_; }
   size_t num_tables() const { return tables_.size(); }
+  long long radius_cap() const { return radius_cap_; }
+  const PStableFamily& family() const { return *family_; }
+  const DiskBucketTable& table(size_t i) const { return tables_[i]; }
 
   /// Dynamic inserts awaiting Compact, summed over tables.
   size_t OverlayEntries() const;

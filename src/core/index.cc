@@ -7,6 +7,7 @@
 
 #include "src/core/batch.h"
 #include "src/core/counter.h"
+#include "src/core/disk_index.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
@@ -172,8 +173,7 @@ C2lshIndex& C2lshIndex::operator=(C2lshIndex&& other) noexcept {
   return *this;
 }
 
-Result<C2lshIndex> C2lshIndex::Build(const Dataset& data, const C2lshOptions& options,
-                                     size_t num_threads) {
+Result<BuildRecipe> BuildRecipe::Make(const Dataset& data, const C2lshOptions& options) {
   C2LSH_ASSIGN_OR_RETURN(C2lshDerived derived, ComputeDerivedParams(options, data.size()));
   // Offsets span the whole radius schedule (see C2lshOptions::
   // max_radius_exponent): b* ~ U[0, w * c^{t*}).
@@ -182,58 +182,74 @@ Result<C2lshIndex> C2lshIndex::Build(const Dataset& data, const C2lshOptions& op
       PStableFamily family,
       PStableFamily::Sample(derived.m, data.dim(), options.w, options.seed,
                             static_cast<double>(radius_cap)));
+  return BuildRecipe{derived, radius_cap, std::move(family)};
+}
+
+std::vector<std::pair<BucketId, ObjectId>> BuildRecipe::TablePairs(const Dataset& data,
+                                                                   size_t i) const {
+  const std::vector<BucketId> buckets = family.BucketColumn(data.vectors(), i);
+  std::vector<std::pair<BucketId, ObjectId>> pairs;
+  pairs.reserve(buckets.size());
+  for (size_t r = 0; r < buckets.size(); ++r) {
+    pairs.emplace_back(buckets[r], static_cast<ObjectId>(r));
+  }
+  return pairs;
+}
+
+Result<C2lshIndex> C2lshIndex::Build(const Dataset& data, const C2lshOptions& options,
+                                     size_t num_threads) {
+  C2LSH_ASSIGN_OR_RETURN(BuildRecipe recipe, BuildRecipe::Make(data, options));
+  const size_t m = recipe.derived.m;
 
   // Parallel build on the shared worker pool (no per-call thread creation).
   // `tables` is shared across pool lanes without a mutex because the sharing
   // is disjoint by construction: lane t writes only slots i with
   // i % lanes == t, the vector is never resized while the ParallelFor runs,
   // and ParallelFor's completion barrier publishes every slot to this thread
-  // (the src/util/thread_pool.h determinism contract). `family` and `data`
+  // (the src/util/thread_pool.h determinism contract). `recipe` and `data`
   // are read-only. The race lane (race_stress_test.cc,
   // ParallelBuildMatchesSerialReference) re-checks this partitioning under
   // TSan. `num_threads` bounds concurrency by bounding the lane count; the
   // pool itself is clamped to hardware concurrency.
-  std::vector<BucketTable> tables(derived.m);
+  std::vector<BucketTable> tables(m);
   auto build_table = [&](size_t i) {
-    const std::vector<BucketId> buckets = family.BucketColumn(data.vectors(), i);
-    std::vector<std::pair<BucketId, ObjectId>> pairs;
-    pairs.reserve(buckets.size());
-    for (size_t r = 0; r < buckets.size(); ++r) {
-      pairs.emplace_back(buckets[r], static_cast<ObjectId>(r));
-    }
-    tables[i] = BucketTable::Build(std::move(pairs));
+    tables[i] = BucketTable::Build(recipe.TablePairs(data, i));
   };
-  const size_t lanes =
-      std::min(num_threads == 0 ? derived.m : num_threads, derived.m);
+  const size_t lanes = std::min(num_threads == 0 ? m : num_threads, m);
   if (lanes <= 1) {
-    for (size_t i = 0; i < derived.m; ++i) build_table(i);
+    for (size_t i = 0; i < m; ++i) build_table(i);
   } else {
     ThreadPool::Shared().ParallelFor(lanes, [&](size_t t) {
-      for (size_t i = t; i < derived.m; i += lanes) build_table(i);
+      for (size_t i = t; i < m; i += lanes) build_table(i);
     });
   }
 
-  return C2lshIndex(options, derived, std::move(family), std::move(tables), data.size(),
-                    data.dim(), radius_cap);
+  return C2lshIndex(options, recipe.derived, std::move(recipe.family), std::move(tables),
+                    data.size(), data.dim(), recipe.radius_cap);
 }
 
-Result<C2lshIndex> C2lshIndex::FromParts(const C2lshOptions& options,
-                                         const C2lshDerived& derived,
-                                         PStableFamily family,
-                                         std::vector<BucketTable> tables,
-                                         size_t num_objects, size_t dim,
-                                         long long radius_cap) {
-  if (tables.size() != family.size() || tables.size() != derived.m) {
-    return Status::InvalidArgument("C2lshIndex::FromParts: table/function count mismatch");
+Result<C2lshIndex> C2lshIndex::Open(const std::string& path, Env* env) {
+  // Materializing reads each entry page once, in file order, so a small
+  // transient pool serves it; the disk index is dropped on return.
+  constexpr size_t kOpenPoolPages = 64;
+  C2LSH_ASSIGN_OR_RETURN(DiskC2lshIndex disk,
+                         DiskC2lshIndex::Open(path, kOpenPoolPages, env));
+  std::vector<BucketTable> tables;
+  tables.reserve(disk.num_tables());
+  long long max_live = -1;
+  for (size_t t = 0; t < disk.num_tables(); ++t) {
+    std::vector<std::pair<BucketId, ObjectId>> pairs;
+    pairs.reserve(disk.table(t).num_entries());
+    C2LSH_RETURN_IF_ERROR(disk.table(t).ForEachEntry([&](BucketId bucket, ObjectId id) {
+      pairs.emplace_back(bucket, id);
+      max_live = std::max(max_live, static_cast<long long>(id));
+    }));
+    tables.push_back(BucketTable::Build(std::move(pairs)));
   }
-  if (dim != family.dim()) {
-    return Status::InvalidArgument("C2lshIndex::FromParts: dim mismatch");
-  }
-  if (radius_cap < 1) {
-    return Status::InvalidArgument("C2lshIndex::FromParts: radius_cap must be >= 1");
-  }
-  return C2lshIndex(options, derived, std::move(family), std::move(tables), num_objects,
-                    dim, radius_cap);
+  // DiskC2lshIndex::Open already checked the parts agree: one table per
+  // hash function, each function of dim() floats, radius_cap() >= 1.
+  return C2lshIndex(disk.options(), disk.derived(), disk.family(), std::move(tables),
+                    static_cast<size_t>(max_live + 1), disk.dim(), disk.radius_cap());
 }
 
 Result<NeighborList> C2lshIndex::Query(const Dataset& data, const float* query, size_t k,

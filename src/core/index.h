@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/params.h"
@@ -41,6 +42,7 @@
 #include "src/obs/trace.h"
 #include "src/storage/bucket_table.h"
 #include "src/storage/page_model.h"
+#include "src/util/env.h"
 #include "src/util/mutex.h"
 #include "src/util/query_context.h"
 #include "src/util/thread_annotations.h"
@@ -77,6 +79,23 @@ struct C2lshQueryScratch {
   std::vector<BucketId> qbuckets;
 };
 
+/// The build recipe both residencies share (C2lshIndex::Build and
+/// DiskC2lshIndex::Build): the derived parameters, the radius cap and the
+/// sampled hash family for (data, options), and each table's (bucket, id)
+/// pairs. The two Builds differ only in where they put the tables, so an
+/// index opened from a disk file equals one built in memory by construction.
+struct BuildRecipe {
+  C2lshDerived derived;
+  long long radius_cap = 1;  ///< offsets span b* ~ U[0, w * radius_cap)
+  PStableFamily family;
+
+  static Result<BuildRecipe> Make(const Dataset& data, const C2lshOptions& options);
+
+  /// Table `i`'s entries: (h_i(o), o) for every row o of `data`, in row order.
+  std::vector<std::pair<BucketId, ObjectId>> TablePairs(const Dataset& data,
+                                                        size_t i) const;
+};
+
 /// The C2LSH index.
 class C2lshIndex {
  public:
@@ -85,6 +104,17 @@ class C2lshIndex {
   /// `num_threads = 0` builds tables in parallel with hardware concurrency.
   static Result<C2lshIndex> Build(const Dataset& data, const C2lshOptions& options,
                                   size_t num_threads = 0);
+
+  /// Opens an index file written by DiskC2lshIndex::Build into memory: the
+  /// same file, resident. DiskC2lshIndex::Open parses it and replays its WAL
+  /// tail; every table is then materialized from its live entries (overlays
+  /// applied, tombstones dropped), and num_objects() is the largest live id
+  /// + 1, as after Compact. Answers equal C2lshIndex::Build over the live
+  /// set. A missing file is IOError; a damaged one (torn, truncated, bit
+  /// flipped, forged) is Corruption, never a wrong index; a file of a format
+  /// this build no longer reads is NotSupported. `env` (nullptr =
+  /// Env::Default()) is the filesystem the file lives in.
+  static Result<C2lshIndex> Open(const std::string& path, Env* env = nullptr);
 
   /// c-k-ANN query. Returns up to k neighbors sorted by ascending exact
   /// distance. `stats` may be null. `trace`, when non-null, receives one
@@ -227,14 +257,6 @@ class C2lshIndex {
   /// versions they pinned until the compacted tables publish.
   void Compact() EXCLUDES(writer_mu_);
 
-  /// Reassembles an index from its serialized parts (core/serialize.h).
-  /// The parts must be mutually consistent (m tables matching the family's
-  /// size); basic consistency is validated.
-  static Result<C2lshIndex> FromParts(const C2lshOptions& options,
-                                      const C2lshDerived& derived, PStableFamily family,
-                                      std::vector<BucketTable> tables, size_t num_objects,
-                                      size_t dim, long long radius_cap);
-
   const C2lshOptions& options() const { return options_; }
   const C2lshDerived& derived() const { return derived_; }
   size_t num_tables() const { return tables_.size(); }
@@ -245,7 +267,6 @@ class C2lshIndex {
   size_t dim() const { return dim_; }
   long long radius_cap() const { return radius_cap_; }
   const PStableFamily& family() const { return family_; }
-  const BucketTable& table(size_t i) const { return tables_[i]; }
 
   /// Resident index bytes (tables + hash functions), for the T2 experiment.
   size_t MemoryBytes() const;

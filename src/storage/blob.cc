@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 namespace c2lsh {
 
@@ -48,11 +49,7 @@ Result<std::vector<uint8_t>> ReadBlob(BufferPool* pool, PageId first) {
   const size_t payload_cap = pool->page_bytes() - kChainHeader;
   std::vector<uint8_t> out;
   PageId id = first;
-  size_t guard = 0;
   while (id != 0) {
-    if (++guard > (1u << 24)) {
-      return Status::Corruption("ReadBlob: page chain cycle detected");
-    }
     C2LSH_ASSIGN_OR_RETURN(BufferPool::PageHandle page, pool->Fetch(id));
     const uint8_t* data = page.data();
     uint64_t next = 0;
@@ -61,6 +58,13 @@ Result<std::vector<uint8_t>> ReadBlob(BufferPool* pool, PageId first) {
     std::memcpy(&len, data + sizeof(next), sizeof(len));
     if (len > payload_cap) {
       return Status::Corruption("ReadBlob: implausible chunk length");
+    }
+    // WriteBlob allocates a chain's pages in ascending order, so a link that
+    // does not point forward is damage — and forward-only links cannot
+    // cycle: the walk ends at the file's last page at the latest.
+    if (next != 0 && next <= id) {
+      return Status::Corruption("ReadBlob: page " + std::to_string(id) +
+                                " links back to page " + std::to_string(next));
     }
     out.insert(out.end(), data + kChainHeader, data + kChainHeader + len);
     id = next;

@@ -62,12 +62,14 @@ class ByteReader {
   template <typename T>
   bool GetArray(T* data, size_t count) {
     static_assert(std::is_trivially_copyable_v<T>);
+    if (count > remaining() / sizeof(T)) return false;  // no count * size wrap
     const size_t total = count * sizeof(T);
-    if (pos_ + total > bytes_->size()) return false;
-    std::memcpy(data, bytes_->data() + pos_, total);
+    if (total > 0) std::memcpy(data, bytes_->data() + pos_, total);
     pos_ += total;
     return true;
   }
+  /// Bytes not yet read: the bound for any count parsed from the blob.
+  size_t remaining() const { return bytes_->size() - pos_; }
   bool exhausted() const { return pos_ == bytes_->size(); }
 
  private:

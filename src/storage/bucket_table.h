@@ -174,23 +174,6 @@ class BucketTable {
       return visited;
     }
 
-    /// Calls `fn(BucketId, ObjectId)` for every live entry (flat + overlay,
-    /// tombstones skipped), in no particular order. Used by serialization
-    /// and compaction.
-    template <typename Fn>
-    void ForEachEntry(Fn&& fn) const {
-      const Flat& flat = *rep_->flat;
-      for (const DirEntry& dir : flat.directory) {
-        for (uint32_t i = 0; i < dir.count; ++i) {
-          const ObjectId id = flat.entries[dir.offset + i];
-          if (!rep_->IsDeadInFlat(id)) fn(dir.bucket, id);
-        }
-      }
-      for (const auto& [bucket, id] : rep_->overlay) {
-        if (!rep_->IsDeleted(id)) fn(bucket, id);
-      }
-    }
-
     /// Number of entries whose bucket id lies in [lo, hi] (deleted objects
     /// still occupy their slots until Compact()). Used for I/O accounting.
     size_t EntriesInRange(BucketId lo, BucketId hi) const;
@@ -235,10 +218,6 @@ class BucketTable {
   template <typename Fn>
   size_t ForEachInRange(BucketId lo, BucketId hi, Fn&& fn) const {
     return snapshot().ForEachInRange(lo, hi, std::forward<Fn>(fn));
-  }
-  template <typename Fn>
-  void ForEachEntry(Fn&& fn) const {
-    snapshot().ForEachEntry(std::forward<Fn>(fn));
   }
   size_t EntriesInRange(BucketId lo, BucketId hi) const {
     return snapshot().EntriesInRange(lo, hi);

@@ -132,6 +132,12 @@ class BufferPool {
     return n;
   }
   size_t page_bytes() const { return file_->page_bytes(); }
+  /// Pages in the underlying file: the bound for any page run a parser
+  /// reads from a blob.
+  uint64_t num_pages() const EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return file_->num_pages();
+  }
 
  private:
   struct Frame {

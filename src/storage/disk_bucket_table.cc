@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 namespace c2lsh {
 
@@ -89,6 +90,19 @@ Result<DiskBucketTable> DiskBucketTable::Load(BufferPool* pool, PageId root) {
   if (!r.Get(&magic) || magic != kDirMagic || !r.Get(&num_entries) ||
       !r.Get(&first_entry_page) || !r.Get(&dir_size)) {
     return Status::Corruption("DiskBucketTable: bad directory blob");
+  }
+  // Counts parsed from the blob are bounded before anything is sized by
+  // them: the directory by the bytes left, the entry run by the file's pages
+  // (Build writes at least one entry page, the anchor of an empty run).
+  const uint64_t per_page = pool->page_bytes() / sizeof(ObjectId);
+  const uint64_t run_pages =
+      std::max<uint64_t>(1, num_entries / per_page + (num_entries % per_page != 0));
+  const uint64_t file_pages = pool->num_pages();
+  if (dir_size > r.remaining() / sizeof(DirEntry) || first_entry_page == 0 ||
+      first_entry_page > file_pages || run_pages > file_pages - first_entry_page + 1) {
+    return Status::Corruption("DiskBucketTable: directory blob claims " +
+                              std::to_string(dir_size) + " buckets, " +
+                              std::to_string(num_entries) + " entries");
   }
   std::vector<DirEntry> directory(dir_size);
   if (!r.GetArray(directory.data(), directory.size()) || !r.exhausted()) {

@@ -39,6 +39,10 @@ const FileMetrics& Metrics() {
 // page checksums and no shadow header, so they are rejected rather than
 // silently misread.
 constexpr uint64_t kPageFileMagicV1 = 0xC25F11E0'0000A001ULL;
+// Index files of the retired single-stream format (a C2lshIndex dump with a
+// trailing CRC, from before both index residencies shared this file) start
+// with this magic. Recognized only to tell their owner to rebuild.
+constexpr uint64_t kRetiredIndexMagic = 0xC25123AA'2012F00DULL;
 constexpr uint64_t kPageFileMagic = 0xC25F11E0'0000A002ULL;
 constexpr uint32_t kPageFileVersionV2 = 2;  ///< pre-user_root slots, still read
 constexpr uint32_t kPageFileVersion = 3;
@@ -151,6 +155,12 @@ Result<PageFile> PageFile::Open(const std::string& path, Env* env) {
           "PageFile: '" + path +
           "' uses the unchecksummed v1 format, which this build no longer reads; "
           "rebuild the index to migrate it to v2");
+    }
+    if (first_word == kRetiredIndexMagic) {
+      return Status::NotSupported(
+          "PageFile: '" + path +
+          "' is an index file of the retired single-stream format, which this "
+          "build no longer reads; rebuild the index");
     }
     if (first_word == kPageFileMagic) {
       return Status::Corruption("PageFile: '" + path +

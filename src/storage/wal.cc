@@ -101,15 +101,11 @@ Result<WriteAheadLog::ReplayStats> WriteAheadLog::Replay(
   if (bytes.size() < kWalHeaderBytes || !DecodeWalHeader(bytes.data())) {
     // A torn or missing header can only come from a crash at creation (or a
     // file that was never a WAL): nothing in it was ever acknowledged, so
-    // start over with a fresh header. Anything beyond a well-formed header
-    // is a truncation event.
+    // start over with an empty log. Anything beyond a well-formed header is
+    // a truncation event. The reset is physical: a fresh header over old
+    // frames would let the next replay apply what this one discarded.
     if (!bytes.empty()) stats.truncated = 1;
-    uint8_t header[kWalHeaderBytes];
-    EncodeWalHeader(header);
-    C2LSH_RETURN_IF_ERROR(RetryTransient(retry_policy_, &retry_stats_, [&] {
-      return file_->WriteAt(0, header, sizeof(header));
-    }));
-    append_offset_ = kWalHeaderBytes;
+    C2LSH_RETURN_IF_ERROR(Reset());
     Metrics().replay_truncated->Increment(stats.truncated);
     return stats;
   }

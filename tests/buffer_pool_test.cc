@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -241,6 +242,39 @@ TEST_F(BufferPoolTest, BlobEmpty) {
   auto back = ReadBlob(&pool.value(), root.value());
   ASSERT_TRUE(back.ok());
   EXPECT_TRUE(back->empty());
+}
+
+// A chain link must point forward (WriteBlob allocates ascending pages), so
+// a self-link is Corruption at once — not a walk bounded only by a guard.
+TEST_F(BufferPoolTest, BlobLinkThatDoesNotPointForwardIsCorruption) {
+  auto pool = BufferPool::Create(file_.get(), 8);
+  ASSERT_TRUE(pool.ok());
+  std::vector<uint8_t> payload(512 * 3, 0x5A);
+  auto root = WriteBlob(&pool.value(), payload);
+  ASSERT_TRUE(root.ok());
+  {
+    auto page = pool->Fetch(root.value());
+    ASSERT_TRUE(page.ok());
+    const uint64_t next = root.value();
+    const uint32_t len = 0;
+    std::memcpy(page->mutable_data(), &next, sizeof(next));
+    std::memcpy(page->mutable_data() + sizeof(next), &len, sizeof(len));
+  }
+  EXPECT_TRUE(ReadBlob(&pool.value(), root.value()).status().IsCorruption());
+}
+
+TEST_F(BufferPoolTest, ByteReaderRejectsAnArrayCountThatWouldWrap) {
+  ByteBuffer buf;
+  const uint64_t words[3] = {1, 2, 3};
+  buf.PutArray(words, 3);
+  ByteReader r(&buf.bytes());
+  uint64_t out[3] = {};
+  // count * sizeof(uint64_t) wraps to 8 bytes; the reader must see the count.
+  const size_t forged = std::numeric_limits<size_t>::max() / sizeof(uint64_t) + 2;
+  EXPECT_FALSE(r.GetArray(out, forged));
+  EXPECT_EQ(r.remaining(), sizeof(words));
+  EXPECT_TRUE(r.GetArray(out, 3));
+  EXPECT_TRUE(r.exhausted());
 }
 
 TEST_F(BufferPoolTest, ByteBufferReaderRoundTrip) {

@@ -1,11 +1,16 @@
 #include "src/core/disk_index.h"
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 
 #include <gtest/gtest.h>
 
+#include "src/storage/blob.h"
 #include "src/storage/disk_bucket_table.h"
+#include "src/util/fault_env.h"
 #include "src/util/random.h"
 #include "src/vector/synthetic.h"
 
@@ -333,8 +338,217 @@ TEST_F(DiskIndexTest, WithoutStoredVectorsSelfQueryRejected) {
 
 TEST_F(DiskIndexTest, OpenMissingAndGarbage) {
   EXPECT_TRUE(DiskC2lshIndex::Open(Path("nope.pf")).status().IsIOError());
+  EXPECT_TRUE(C2lshIndex::Open(Path("nope.pf")).status().IsIOError());
   std::ofstream(Path("junk.pf")) << "garbage";
   EXPECT_TRUE(DiskC2lshIndex::Open(Path("junk.pf")).status().IsCorruption());
+  EXPECT_TRUE(C2lshIndex::Open(Path("junk.pf")).status().IsCorruption());
+}
+
+// --- C2lshIndex::Open: the in-memory residency of the same file ----------
+
+class OpenInMemoryTest : public DiskIndexTest {
+ protected:
+  void SetUp() override {
+    DiskIndexTest::SetUp();
+    auto pd = MakeProfileDataset(DatasetProfile::kColor, 1200, 8, 5);
+    ASSERT_TRUE(pd.ok());
+    pd_ = std::make_unique<ProfileData>(std::move(pd).value());
+    options_.seed = 11;
+    options_.page_bytes = 1024;
+  }
+
+  /// Builds an index file without a data segment, as c2lsh_tool does.
+  std::string BuildFile(const std::string& name, Env* env = nullptr) {
+    const std::string path = Path(name);
+    auto disk = DiskC2lshIndex::Build(pd_->data, options_, path, 64,
+                                      /*store_vectors=*/false, env);
+    EXPECT_TRUE(disk.ok()) << disk.status().ToString();
+    return path;
+  }
+
+  /// XORs `mask` into the byte at `offset` of the file at `path`.
+  static void FlipByte(const std::string& path, uint64_t offset, char mask) {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(static_cast<std::streamoff>(offset));
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ mask);
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.write(&byte, 1);
+  }
+
+  /// Byte offset of page `id`'s payload (PageFile v3: two 256-byte header
+  /// slots, then pages of page_bytes + an 8-byte footer).
+  uint64_t PageOffset(PageId id) const {
+    return 512 + (id - 1) * (options_.page_bytes + 8);
+  }
+
+  /// Rewrites the index's meta blob through `edit` and publishes the result
+  /// as a new, CRC-valid meta root — a forged but well-formed file.
+  static void RepublishMeta(const std::string& path,
+                            const std::function<void(BufferPool*, std::vector<uint8_t>*)>&
+                                edit) {
+    auto file = PageFile::Open(path);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    auto pool = BufferPool::Create(&file.value(), 16);
+    ASSERT_TRUE(pool.ok());
+    auto meta = ReadBlob(&pool.value(), file->user_root());
+    ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+    edit(&pool.value(), &meta.value());
+    auto root = WriteBlob(&pool.value(), meta.value());
+    ASSERT_TRUE(root.ok());
+    file->SetUserRoot(root.value());
+    ASSERT_TRUE(pool->FlushAll().ok());
+  }
+
+  std::unique_ptr<ProfileData> pd_;
+  C2lshOptions options_;
+};
+
+TEST_F(OpenInMemoryTest, OpenedFileAnswersLikeAFreshBuild) {
+  const std::string path = BuildFile("index.c2lsh");
+  auto opened = C2lshIndex::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto built = C2lshIndex::Build(pd_->data, options_);
+  ASSERT_TRUE(built.ok());
+
+  EXPECT_EQ(opened->num_tables(), built->num_tables());
+  EXPECT_EQ(opened->num_objects(), built->num_objects());
+  EXPECT_EQ(opened->dim(), built->dim());
+  EXPECT_EQ(opened->radius_cap(), built->radius_cap());
+  EXPECT_EQ(opened->derived().m, built->derived().m);
+  EXPECT_EQ(opened->derived().l, built->derived().l);
+  EXPECT_EQ(opened->options().page_bytes, options_.page_bytes);
+  for (size_t q = 0; q < pd_->queries.num_rows(); ++q) {
+    auto got = opened->Query(pd_->data, pd_->queries.row(q), 10);
+    auto want = built->Query(pd_->data, pd_->queries.row(q), 10);
+    ASSERT_TRUE(got.ok() && want.ok());
+    ASSERT_EQ(got->size(), want->size());
+    for (size_t i = 0; i < want->size(); ++i) {
+      EXPECT_EQ((*got)[i].id, (*want)[i].id) << "q=" << q << " i=" << i;
+      EXPECT_EQ((*got)[i].dist, (*want)[i].dist) << "q=" << q << " i=" << i;
+    }
+  }
+}
+
+TEST_F(OpenInMemoryTest, TruncatedFileRejected) {
+  const std::string path = BuildFile("full.c2lsh");
+  const auto size = std::filesystem::file_size(path);
+  // Header region, mid-tables, and one byte short of the last page.
+  for (const uint64_t keep : {uint64_t{300}, size / 2, size - 1}) {
+    const std::string cut = Path("cut.c2lsh");
+    std::filesystem::copy_file(path, cut, std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::resize_file(cut, keep);
+    const Status st = C2lshIndex::Open(cut).status();
+    EXPECT_TRUE(st.IsCorruption()) << "keep=" << keep << ": " << st.ToString();
+  }
+}
+
+TEST_F(OpenInMemoryTest, BitFlipAnywhereInTheImageRejected) {
+  const std::string path = BuildFile("flip.c2lsh");
+  const auto size = std::filesystem::file_size(path);
+  // Page 2 is table 0's first entry page: a corrupt entry page fails the
+  // open (the memory index has no degraded mode). The others land in other
+  // tables' runs and directories and in the meta blob at the end.
+  for (const uint64_t at : {PageOffset(2) + 10, size / 3, size / 2, size - 20}) {
+    const std::string copy = Path("flipped.c2lsh");
+    std::filesystem::copy_file(path, copy, std::filesystem::copy_options::overwrite_existing);
+    FlipByte(copy, at, 0x40);
+    const Status st = C2lshIndex::Open(copy).status();
+    EXPECT_TRUE(st.IsCorruption()) << "offset " << at << ": " << st.ToString();
+  }
+}
+
+TEST_F(OpenInMemoryTest, RetiredSingleStreamFormatNeedsARebuild) {
+  // The first u64 of the retired single-stream index format.
+  const uint64_t magic = 0xC25123AA2012F00DULL;
+  const std::string path = Path("retired.c2lsh");
+  {
+    std::ofstream f(path, std::ios::binary);
+    f.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+    f << std::string(600, '\0');
+  }
+  const Status st = C2lshIndex::Open(path).status();
+  EXPECT_TRUE(st.IsNotSupported()) << st.ToString();
+  EXPECT_NE(std::string(st.message()).find("rebuild"), std::string::npos) << st.ToString();
+}
+
+TEST_F(OpenInMemoryTest, RoutesThroughTheProvidedEnv) {
+  FaultInjectionEnv env(Env::Default());
+  const std::string path = BuildFile("env.c2lsh", &env);
+  EXPECT_GT(env.stats().writes, 0u);
+  EXPECT_GT(env.stats().syncs, 0u);
+
+  env.ResetStats();
+  auto opened = C2lshIndex::Open(path, &env);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_GT(env.stats().reads, 0u);
+
+  // A bit flip injected at read time (the file itself untouched) is caught
+  // by the page checksum like an on-disk one.
+  env.SetReadCorruption(std::filesystem::file_size(path) / 2, 0x08);
+  EXPECT_TRUE(C2lshIndex::Open(path, &env).status().IsCorruption());
+  env.ClearReadCorruption();
+  EXPECT_TRUE(C2lshIndex::Open(path, &env).ok());
+}
+
+// The meta blob's layout up to dim (see WriteMetaBlob): magic u32, options
+// (w, c, delta, beta f64; max_radius_exponent i32; seed, page_bytes u64),
+// derived (model w, c, p1, p2, rho; beta, z, alpha f64; m, l u64), n u64,
+// then dim u64.
+constexpr size_t kMetaMOffset = 4 + 4 * 8 + 4 + 2 * 8 + 8 * 8;
+constexpr size_t kMetaDimOffset = kMetaMOffset + 3 * 8;
+
+TEST_F(OpenInMemoryTest, ForgedMetaCountsAreCorruptionNotAnAllocation) {
+  const std::string path = BuildFile("forged_meta.c2lsh");
+  uint64_t dim = 0, m = 0;
+  {
+    auto clean = DiskC2lshIndex::Open(path);
+    ASSERT_TRUE(clean.ok());
+    dim = clean->dim();
+    m = clean->num_tables();
+  }
+
+  for (const size_t offset : {kMetaDimOffset, kMetaMOffset}) {
+    const std::string copy = Path("forged_copy.c2lsh");
+    std::filesystem::copy_file(path, copy, std::filesystem::copy_options::overwrite_existing);
+    RepublishMeta(copy, [&](BufferPool*, std::vector<uint8_t>* meta) {
+      uint64_t field = 0;
+      std::memcpy(&field, meta->data() + offset, sizeof(field));
+      ASSERT_EQ(field, offset == kMetaDimOffset ? dim : m) << "meta layout moved";
+      const uint64_t forged = uint64_t{1} << 40;
+      std::memcpy(meta->data() + offset, &forged, sizeof(forged));
+    });
+    const Status disk = DiskC2lshIndex::Open(copy).status();
+    EXPECT_TRUE(disk.IsCorruption()) << "offset " << offset << ": " << disk.ToString();
+    const Status mem = C2lshIndex::Open(copy).status();
+    EXPECT_TRUE(mem.IsCorruption()) << "offset " << offset << ": " << mem.ToString();
+  }
+}
+
+TEST_F(OpenInMemoryTest, ForgedDirectorySizeIsCorruptionNotAnAllocation) {
+  const std::string path = BuildFile("forged_dir.c2lsh");
+  RepublishMeta(path, [](BufferPool* pool, std::vector<uint8_t>* meta) {
+    // Table 0's root is the first of the m roots that end the meta blob.
+    uint64_t m = 0;
+    std::memcpy(&m, meta->data() + kMetaMOffset, sizeof(m));
+    const size_t root_at = meta->size() - m * sizeof(PageId);
+    PageId root = 0;
+    std::memcpy(&root, meta->data() + root_at, sizeof(root));
+    auto dir = ReadBlob(pool, root);
+    ASSERT_TRUE(dir.ok());
+    // Directory blob: magic u32, num_entries u64, first_entry_page u64,
+    // dir_size u64, entries.
+    const uint64_t forged = uint64_t{1} << 40;
+    std::memcpy(dir->data() + 4 + 2 * 8, &forged, sizeof(forged));
+    auto new_root = WriteBlob(pool, dir.value());
+    ASSERT_TRUE(new_root.ok());
+    std::memcpy(meta->data() + root_at, &new_root.value(), sizeof(PageId));
+  });
+  const Status disk = DiskC2lshIndex::Open(path).status();
+  EXPECT_TRUE(disk.IsCorruption()) << disk.ToString();
+  const Status mem = C2lshIndex::Open(path).status();
+  EXPECT_TRUE(mem.IsCorruption()) << mem.ToString();
 }
 
 TEST_F(DiskIndexTest, QueryValidation) {

@@ -304,6 +304,74 @@ TEST_F(MutateEquivalenceTest, DiskDeleteReinsertSurvivesReplayAndCompact) {
   }
 }
 
+// One file, two residencies: a disk index mutated through its WAL and never
+// compacted, opened into memory, must equal a fresh in-memory Build over the
+// live set — the WAL tail replays into overlays and tombstones, and the
+// materialized tables drop exactly what the overlays hide. A trailing delete
+// lowers the opened high-water; a delete-then-reinsert of a middle id leaves
+// it live once. The same holds once the disk index compacts.
+TEST_F(MutateEquivalenceTest, OpenedDiskFileWithWalTailMatchesBuildOverLiveSet) {
+  const C2lshOptions o = Options();
+  const std::string path = Path("wal_tail.pf");
+  constexpr size_t kLive = kFull - 2;  // ids kFull-2 and kFull-1 end deleted
+  {
+    auto disk = DiskC2lshIndex::Build(*a_, o, path, 64, /*store_vectors=*/false);
+    ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+    for (size_t i = kA; i < kFull; ++i) {
+      ASSERT_TRUE(
+          disk->Insert(static_cast<ObjectId>(i), pd_->data.object(static_cast<ObjectId>(i)))
+              .ok());
+    }
+    ASSERT_TRUE(disk->Delete(7).ok());
+    ASSERT_TRUE(disk->Insert(7, pd_->data.object(7)).ok());
+    ASSERT_TRUE(disk->Delete(static_cast<ObjectId>(kFull - 1)).ok());
+    ASSERT_TRUE(disk->Delete(static_cast<ObjectId>(kFull - 2)).ok());
+    EXPECT_GT(disk->wal_last_lsn(), disk->applied_lsn());  // a WAL tail, uncompacted
+  }
+
+  std::vector<float> live_rows;
+  for (size_t i = 0; i < kLive; ++i) {
+    const float* v = pd_->data.object(static_cast<ObjectId>(i));
+    live_rows.insert(live_rows.end(), v, v + pd_->data.dim());
+  }
+  auto live_matrix = FloatMatrix::FromVector(kLive, pd_->data.dim(), std::move(live_rows));
+  ASSERT_TRUE(live_matrix.ok());
+  auto live = Dataset::Create("live", std::move(live_matrix).value());
+  ASSERT_TRUE(live.ok());
+  auto fresh = C2lshIndex::Build(live.value(), o);
+  ASSERT_TRUE(fresh.ok());
+
+  const long long c = static_cast<long long>(o.c);
+  auto expect_equal = [&](const C2lshIndex& opened, const std::string& what) {
+    EXPECT_EQ(opened.num_objects(), kLive) << what;
+    EXPECT_EQ(opened.num_objects(), fresh->num_objects()) << what;
+    for (size_t q = 0; q < kQueries; ++q) {
+      for (const long long radius : {1ll, c, c * c}) {
+        EXPECT_EQ(opened.CollisionCountsAtRadius(pd_->queries.row(q), radius),
+                  fresh->CollisionCountsAtRadius(pd_->queries.row(q), radius))
+            << what << " q=" << q << " R=" << radius;
+      }
+      auto got = opened.Query(live.value(), pd_->queries.row(q), kK);
+      auto want = fresh->Query(live.value(), pd_->queries.row(q), kK);
+      ASSERT_TRUE(got.ok() && want.ok());
+      ExpectSameAnswers(*got, *want, what + " q=" + std::to_string(q));
+    }
+  };
+
+  auto opened = C2lshIndex::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  expect_equal(opened.value(), "wal tail");
+
+  {
+    auto disk = DiskC2lshIndex::Open(path, 64);
+    ASSERT_TRUE(disk.ok()) << disk.status().ToString();
+    ASSERT_TRUE(disk->Compact().ok());
+  }
+  auto compacted = C2lshIndex::Open(path);
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  expect_equal(compacted.value(), "compacted");
+}
+
 // The mutability gauges and counters surface through the registry and both
 // exporters (the ISSUE's observability satellite).
 TEST_F(MutateEquivalenceTest, MutationMetricsSurfaceInExporters) {

@@ -290,6 +290,38 @@ TEST_F(WalTest, OversizedRecordIsRejectedNeverAcknowledged) {
   EXPECT_EQ(seen[1].type, RecordType::kDelete);
 }
 
+// A corrupt header discards the whole log, and for good: a second replay
+// must not find the frames the first one dropped.
+TEST_F(WalTest, CorruptHeaderDiscardsFramesOnEveryReplay) {
+  const std::string path = Path("badheader.wal");
+  {
+    auto wal = WriteAheadLog::Open(path);
+    ASSERT_TRUE(wal.ok());
+    for (uint64_t lsn = 1; lsn <= 3; ++lsn) {
+      ASSERT_TRUE(wal->Append(Insert(lsn, static_cast<ObjectId>(lsn), {1.0f})).ok());
+    }
+    ASSERT_TRUE(wal->Sync().ok());
+  }
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    const char flipped = 0x00;  // the magic's low byte is nonzero
+    f.seekp(0);
+    f.write(&flipped, 1);
+  }
+  for (int open = 0; open < 2; ++open) {
+    auto wal = WriteAheadLog::Open(path);
+    ASSERT_TRUE(wal.ok());
+    size_t replayed_count = 0;
+    auto stats = wal->Replay(0, [&](const Record&) {
+      ++replayed_count;
+      return Status::OK();
+    });
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(replayed_count, 0u) << "open " << open;
+    EXPECT_EQ(stats->truncated, open == 0 ? 1u : 0u) << "open " << open;
+  }
+}
+
 TEST_F(WalTest, GarbageFileIsTruncatedNotParsed) {
   const std::string path = Path("garbage.wal");
   {

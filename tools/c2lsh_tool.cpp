@@ -1,10 +1,11 @@
 // c2lsh_tool — command-line driver for building, persisting, inspecting and
 // querying C2LSH indexes over .fvecs datasets.
 //
-//   # build an index over a dataset and save it
+//   # build an index over a dataset into an index file (plus its empty
+//   # write-ahead log, base.c2lsh.wal)
 //   c2lsh_tool --mode=build --data=base.fvecs --index=base.c2lsh [--c=2 ...]
 //
-//   # inspect a saved index
+//   # inspect an index file
 //   c2lsh_tool --mode=info --index=base.c2lsh
 //
 //   # query: top-k for every vector in a query file, results as .ivecs
@@ -20,8 +21,8 @@
 #include <vector>
 
 #include "src/baselines/linear_scan.h"
+#include "src/core/disk_index.h"
 #include "src/core/index.h"
-#include "src/core/serialize.h"
 #include "src/eval/table.h"
 #include "src/util/argparse.h"
 #include "src/util/timer.h"
@@ -33,6 +34,18 @@ namespace {
 int Fail(const Status& s) {
   std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
   return 1;
+}
+
+// The index file is the DiskC2lshIndex page file. Files this build no longer
+// reads fail with NotSupported, whose message ends "rebuild the index"; the
+// tool names the mode that does it.
+Result<C2lshIndex> OpenIndex(const std::string& path) {
+  Result<C2lshIndex> index = C2lshIndex::Open(path);
+  if (index.status().IsNotSupported()) {
+    return Status::NotSupported(std::string(index.status().message()) +
+                                " with --mode build");
+  }
+  return index;
 }
 
 bool EndsWith(const std::string& s, const std::string& suffix) {
@@ -61,22 +74,22 @@ int RunBuild(const ArgParser& args) {
   options.beta = args.GetDouble("beta");
   options.seed = static_cast<uint64_t>(args.GetInt("seed"));
 
+  // The vectors stay in --data (query reads them from there), so the index
+  // file holds the tables alone.
   Timer timer;
-  auto index = C2lshIndex::Build(data.value(), options);
+  auto index = DiskC2lshIndex::Build(data.value(), options, args.GetString("index"),
+                                     /*pool_pages=*/256, /*store_vectors=*/false);
   if (!index.ok()) return Fail(index.status());
   std::printf("built in %.2fs: %s\n", timer.ElapsedSeconds(),
               index->derived().ToString().c_str());
-
-  if (Status s = SaveIndex(args.GetString("index"), &index.value()); !s.ok()) {
-    return Fail(s);
-  }
-  std::printf("saved to %s (%s resident)\n", args.GetString("index").c_str(),
-              TablePrinter::FmtBytes(index->MemoryBytes()).c_str());
+  std::printf("saved to %s (%s on disk)\n", args.GetString("index").c_str(),
+              TablePrinter::FmtBytes(index->FilePages() * index->options().page_bytes)
+                  .c_str());
   return 0;
 }
 
 int RunInfo(const ArgParser& args) {
-  auto index = LoadIndex(args.GetString("index"));
+  auto index = OpenIndex(args.GetString("index"));
   if (!index.ok()) return Fail(index.status());
   std::printf("C2LSH index: %s\n", args.GetString("index").c_str());
   std::printf("  objects:     %zu\n", index->num_objects());
@@ -121,7 +134,7 @@ int RunQuery(const ArgParser& args, bool exact) {
       out_rows.push_back(std::move(row));
     }
   } else {
-    auto index = LoadIndex(args.GetString("index"));
+    auto index = OpenIndex(args.GetString("index"));
     if (!index.ok()) return Fail(index.status());
     if (index->num_objects() > data->size() || index->dim() != data->dim()) {
       return Fail(Status::InvalidArgument(

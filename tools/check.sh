@@ -240,14 +240,14 @@ if [[ "${FAST}" -eq 0 ]]; then
     cmake -B build-check/fuzz -S . -DC2LSH_WERROR=ON -DC2LSH_FUZZ=ON \
       -DC2LSH_SANITIZE=address,undefined >/dev/null || return 1
     cmake --build build-check/fuzz -j "${JOBS}" \
-      --target wal_replay_fuzz page_header_fuzz serialize_fuzz make_seeds \
+      --target wal_replay_fuzz page_header_fuzz index_open_fuzz make_seeds \
       || return 1
     local work=build-check/fuzz/soak
     rm -rf "${work}" && mkdir -p "${work}" || return 1
     build-check/fuzz/fuzz/make_seeds "${work}/corpus" || return 1
     local pair bin sub
     for pair in wal_replay_fuzz:wal page_header_fuzz:page \
-                serialize_fuzz:serialize; do
+                index_open_fuzz:index; do
       bin="${pair%%:*}"; sub="${pair##*:}"
       note "  (fuzz: ${bin}, ${FUZZ_SECONDS}s)"
       ( cd "${work}" &&
